@@ -14,11 +14,17 @@ A session-scoped autouse fixture warms the active kernel backend
 (:mod:`repro.kernels`) before the first benchmark runs, so one-time
 compilation / JIT warm-up cost can never land inside a timed region and
 masquerade as a wall-time regression in the ``BENCH_*.json`` keys.
+
+Benchmarks write their ``BENCH_*.json`` entries through the
+:func:`record_bench` fixture, which merges only under ``--record-bench``:
+a default run (tier-1 collects this directory) times and asserts, but
+leaves the committed trajectory files untouched.
 """
 
 import pytest
 
 from repro import kernels
+from repro.analysis.tables import merge_bench_json
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -36,3 +42,15 @@ def run_once(benchmark, func, *args, **kwargs):
 def once():
     """Fixture exposing :func:`run_once`."""
     return run_once
+
+
+@pytest.fixture
+def record_bench(pytestconfig):
+    """``record(path, name, entry)``: merge into a BENCH file if opted in."""
+    enabled = pytestconfig.getoption("--record-bench")
+
+    def record(path, name, entry):
+        if enabled:
+            merge_bench_json(path, name, entry)
+
+    return record

@@ -2,7 +2,7 @@
 
 Run right after a benchmark session rewrote the BENCH files::
 
-    pytest benchmarks/ --run-sim --benchmark-only
+    pytest benchmarks/ --run-sim --record-bench --benchmark-only
     pytest benchmarks/test_bench_gate.py --run-bench-check
 
 Every working-tree ``BENCH_*.json`` is compared against its committed

@@ -18,7 +18,9 @@ run in the same opt-in session as the gate itself
   every timed region effectively sees) is cheap;
 * every available backend is compiled end to end once, so a benchmark
   session that flips ``REPRO_KERNELS`` between runs still never times a
-  cold backend.
+  cold backend;
+* the warm-up covers the ``h_diameter`` BFS screen as well, so the first
+  Table 1 solve of a process pays no compile either.
 """
 
 import time
@@ -26,6 +28,8 @@ import time
 import pytest
 
 from repro import kernels
+from repro.otis.h_digraph import h_digraph
+from repro.otis.search import h_diameter
 
 pytestmark = pytest.mark.benchcheck
 
@@ -50,3 +54,13 @@ def test_rewarm_is_cheap():
     start = time.perf_counter()
     kernels.warmup()
     assert time.perf_counter() - start < _WARM_SECONDS
+
+
+def test_first_h_diameter_after_warmup_is_cheap():
+    """A first Table 1-sized verdict after warm-up never compiles."""
+    graph = h_digraph(32, 64, 2)  # the D=10 row n=1024
+    for backend in kernels.available_backends():
+        kernels.warmup(backend)
+        start = time.perf_counter()
+        assert h_diameter(graph, 10, backend=backend) == 10
+        assert time.perf_counter() - start < _WARM_SECONDS

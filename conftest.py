@@ -32,6 +32,11 @@ the benchmark harness agree on their meaning:
   splitting; see docs/chaos.md).  Opt-in via ``--run-chaos`` or
   ``-m chaos``; a fast fixed-seed subset in ``tests/test_chaos.py`` runs
   unconditionally.
+
+Recording is opt-in too: the benchmark harness merges its numbers into the
+committed ``BENCH_*.json`` files only under ``--record-bench`` (see the
+``record_bench`` fixture in ``benchmarks/conftest.py``), so a default
+tier-1 run leaves the working tree clean.
 """
 
 import pytest
@@ -97,6 +102,13 @@ def pytest_addoption(parser):
         action="store_true",
         default=False,
         help="run the 'chaos'-marked full seeded fault-injection sweeps",
+    )
+    parser.addoption(
+        "--record-bench",
+        action="store_true",
+        default=False,
+        help="merge benchmark results into the BENCH_*.json files "
+        "(default: the benchmarks run and assert, but write nothing)",
     )
 
 

@@ -1,15 +1,17 @@
 """Traversal algorithms: BFS distances, connected components, reachability.
 
-The degree–diameter search of Table 1 performs thousands of diameter
-computations on digraphs with up to ~1500 vertices, so BFS is implemented
-twice:
+BFS is implemented twice:
 
 * a pure-Python queue BFS (:func:`bfs_distances`), the reference
   implementation used by the tests, and
 * a vectorised frontier BFS over the successor matrix
-  (:func:`bfs_distances_regular`), which processes an entire frontier per
-  numpy call and is the hot path used by
-  :func:`repro.graphs.properties.distance_matrix`.
+  (:func:`bfs_distances_regular`, with its reverse twin
+  :func:`reverse_bfs_distances_regular`), which processes an entire
+  frontier per numpy call.  It backs
+  :func:`repro.graphs.properties.distance_matrix` and is the reference
+  screen ladder of :func:`repro.otis.search.h_diameter`; the Table 1
+  search itself runs the compiled ``bfs_screen`` kernel
+  (:mod:`repro.kernels`) unless ``REPRO_KERNELS=numpy``.
 
 Both return ``-1`` for unreachable vertices.  Strongly connected components
 use Kosaraju's two-pass algorithm (iterative, so deep graphs do not hit the
@@ -62,8 +64,8 @@ def bfs_distances_regular(graph: RegularDigraph, source: int) -> np.ndarray:
     """Frontier-at-a-time BFS over the successor matrix of a regular digraph.
 
     Each BFS level expands the whole current frontier with one fancy-indexing
-    operation, which is substantially faster than the per-vertex queue for
-    the dense sweeps performed by the Table 1 search.
+    operation, which is substantially faster than the per-vertex python
+    queue; it is the numpy reference for the compiled ``bfs_screen`` kernel.
     """
     n = graph.num_vertices
     if not 0 <= source < n:
@@ -89,7 +91,7 @@ def reverse_bfs_distances_regular(graph: RegularDigraph, target: int) -> np.ndar
     """Distance from every vertex *to* ``target``; ``-1`` when it cannot reach it.
 
     This is the reverse-direction counterpart of :func:`bfs_distances_regular`
-    and the second half of the connectivity screen used by the Table 1 search:
+    and the second half of the numpy connectivity screen of the Table 1 search:
     a digraph is strongly connected iff every vertex is reachable *from* 0 and
     every vertex can reach 0.  The reverse adjacency is built once in CSR form
     (a stable argsort of the flattened successor matrix) and each level gathers

@@ -58,6 +58,7 @@ __all__ = ["build_kernels", "PY_KERNELS", "KERNEL_NAMES"]
 
 #: The functions every backend must provide (the dispatch surface).
 KERNEL_NAMES = (
+    "bfs_screen",
     "ecc_sweep",
     "subset_rows_sweep",
     "subset_ecc_sweep",
@@ -76,6 +77,85 @@ def build_kernels(jit):
     """
 
     # ------------------------------------------------------------- apsp
+    @jit
+    def bfs_screen(succ, dist, queue, indptr, tails, upper_bound):
+        """Stages 1–2 of ``repro.otis.search.h_diameter`` in one call.
+
+        A queue BFS from vertex 0 over the ``(n, d)`` successor matrix, then
+        a queue BFS to vertex 0 over the reverse CSR (``indptr`` ``(n+1,)``
+        / ``tails`` ``(n*d,)``, built here by a counting sort of the arc
+        heads).  ``dist`` and ``queue`` are ``(n,)`` scratch.  The checks run
+        in the numpy ladder's order — forward unreachability, forward
+        ``ecc(0) > upper_bound``, reverse unreachability, reverse
+        ``ecc > upper_bound`` — so the forward BFS always runs to
+        completion.  Returns ``-1`` (not strongly connected),
+        ``upper_bound + 1`` (too large) or, when both screens pass, the
+        diameter lower bound ``max(ecc(0), max_u d(u, 0))``.  No
+        eccentricity reaches ``n``, so ``upper_bound = n`` disables the
+        cut.  Requires ``n >= 2``.
+        """
+        n = succ.shape[0]
+        d = succ.shape[1]
+        for v in range(n):
+            dist[v] = -1
+        dist[0] = 0
+        queue[0] = 0
+        head = 0
+        tail = 1
+        while head < tail:
+            u = queue[head]
+            head += 1
+            du = dist[u] + 1
+            for j in range(d):
+                v = succ[u, j]
+                if dist[v] < 0:
+                    dist[v] = du
+                    queue[tail] = v
+                    tail += 1
+        if tail < n:
+            return -1
+        ecc = dist[queue[n - 1]]
+        if ecc > upper_bound:
+            return upper_bound + 1
+        # reverse CSR: count in-degrees, prefix-sum to bucket ends, then
+        # place the arcs back to front so each bucket lists its tails in
+        # ascending order and indptr[v] ends at the bucket's start
+        for v in range(n + 1):
+            indptr[v] = 0
+        for u in range(n):
+            for j in range(d):
+                indptr[succ[u, j]] += 1
+        for v in range(1, n):
+            indptr[v] += indptr[v - 1]
+        indptr[n] = n * d
+        for u in range(n - 1, -1, -1):
+            for j in range(d - 1, -1, -1):
+                v = succ[u, j]
+                indptr[v] -= 1
+                tails[indptr[v]] = u
+        for v in range(n):
+            dist[v] = -1
+        dist[0] = 0
+        queue[0] = 0
+        head = 0
+        tail = 1
+        while head < tail:
+            v = queue[head]
+            head += 1
+            dv = dist[v] + 1
+            for k in range(indptr[v], indptr[v + 1]):
+                u = tails[k]
+                if dist[u] < 0:
+                    dist[u] = dv
+                    queue[tail] = u
+                    tail += 1
+        if tail < n:
+            return -1
+        recc = dist[queue[n - 1]]
+        if recc > upper_bound:
+            return upper_bound + 1
+        return ecc if ecc > recc else recc
+
     @jit
     def ecc_sweep(succ, reach, scratch, full_row, ecc, done, upper_bound):
         """Level-synchronous uint64 bit sweep with streaming eccentricities.
@@ -684,6 +764,7 @@ def build_kernels(jit):
         return RoundDriver(queue, msg, links, topo, bufs, T, L)
 
     return SimpleNamespace(
+        bfs_screen=bfs_screen,
         ecc_sweep=ecc_sweep,
         subset_rows_sweep=subset_rows_sweep,
         subset_ecc_sweep=subset_ecc_sweep,

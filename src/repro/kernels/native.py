@@ -61,6 +61,62 @@ C_SOURCE = r"""
 
 /* ------------------------------------------------------------------ apsp */
 
+EXPORT int64_t bfs_screen(
+    const int64_t *succ, int64_t *dist, int64_t *queue,
+    int64_t *indptr, int64_t *tails,
+    int64_t n, int64_t d, int64_t upper_bound)
+{
+    for (int64_t v = 0; v < n; v++) dist[v] = -1;
+    dist[0] = 0;
+    queue[0] = 0;
+    int64_t head = 0;
+    int64_t tail = 1;
+    while (head < tail) {
+        int64_t u = queue[head++];
+        int64_t du = dist[u] + 1;
+        const int64_t *row = succ + u * d;
+        for (int64_t j = 0; j < d; j++) {
+            int64_t v = row[j];
+            if (dist[v] < 0) { dist[v] = du; queue[tail++] = v; }
+        }
+    }
+    if (tail < n) return -1;
+    int64_t ecc = dist[queue[n - 1]];
+    if (ecc > upper_bound) return upper_bound + 1;
+    /* reverse CSR: count in-degrees, prefix-sum to bucket ends, then place
+       the arcs back to front so each bucket lists its tails in ascending
+       order and indptr[v] ends at the bucket's start */
+    for (int64_t v = 0; v <= n; v++) indptr[v] = 0;
+    for (int64_t u = 0; u < n; u++) {
+        for (int64_t j = 0; j < d; j++) indptr[succ[u * d + j]]++;
+    }
+    for (int64_t v = 1; v < n; v++) indptr[v] += indptr[v - 1];
+    indptr[n] = n * d;
+    for (int64_t u = n - 1; u >= 0; u--) {
+        for (int64_t j = d - 1; j >= 0; j--) {
+            int64_t v = succ[u * d + j];
+            tails[--indptr[v]] = u;
+        }
+    }
+    for (int64_t v = 0; v < n; v++) dist[v] = -1;
+    dist[0] = 0;
+    queue[0] = 0;
+    head = 0;
+    tail = 1;
+    while (head < tail) {
+        int64_t v = queue[head++];
+        int64_t dv = dist[v] + 1;
+        for (int64_t k = indptr[v]; k < indptr[v + 1]; k++) {
+            int64_t u = tails[k];
+            if (dist[u] < 0) { dist[u] = dv; queue[tail++] = u; }
+        }
+    }
+    if (tail < n) return -1;
+    int64_t recc = dist[queue[n - 1]];
+    if (recc > upper_bound) return upper_bound + 1;
+    return ecc > recc ? ecc : recc;
+}
+
 EXPORT int64_t ecc_sweep(
     const int64_t *succ, uint64_t *reach, uint64_t *scratch,
     const uint64_t *full_row, int64_t *ecc, uint8_t *done,
@@ -444,11 +500,13 @@ _u8 = ctypes.POINTER(ctypes.c_uint8)
 _f64 = ctypes.POINTER(ctypes.c_double)
 _I = ctypes.c_int64
 _D = ctypes.c_double
+_P = ctypes.c_void_p
 
 # The C-side expansion of QUEUE_PARAMS.
 _QSIG = [_f64, _i64, _i64, _i64, _i64, _i64, _f64, _i64, _i64, _I]
 
 _SIGNATURES = {
+    "bfs_screen": (_I, [_P, _P, _P, _P, _P, _I, _I, _I]),
     "ecc_sweep": (_I, [_i64, _u64, _u64, _u64, _i64, _u8, _I, _I, _I, _I]),
     "subset_rows_sweep": (None, [_i64, _u64, _u64, _i64, _I, _I, _I]),
     "subset_ecc_sweep": (
@@ -584,6 +642,15 @@ def build_native_kernels() -> SimpleNamespace:
             return cached
         lib = _load(_compile())
 
+        def bfs_screen(succ, dist, queue, indptr, tails, upper_bound):
+            # called once per Table 1 candidate: raw addresses, since
+            # data_as() would cost more than the screen on small digraphs
+            n, d = succ.shape
+            return lib.bfs_screen(
+                succ.ctypes.data, dist.ctypes.data, queue.ctypes.data,
+                indptr.ctypes.data, tails.ctypes.data, n, d, upper_bound,
+            )
+
         def ecc_sweep(succ, reach, scratch, full_row, ecc, done, upper_bound):
             n, d = succ.shape
             w = reach.shape[1]
@@ -718,6 +785,7 @@ def build_native_kernels() -> SimpleNamespace:
             return RoundDriver(queue, msg, links, topo, bufs, T, L)
 
         kernels = SimpleNamespace(
+            bfs_screen=bfs_screen,
             ecc_sweep=ecc_sweep,
             subset_rows_sweep=subset_rows_sweep,
             subset_ecc_sweep=subset_ecc_sweep,

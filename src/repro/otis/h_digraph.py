@@ -62,10 +62,12 @@ def h_digraph(p: int, q: int, d: int) -> RegularDigraph:
         raise ValueError(f"d={d} must divide p*q={m}")
     n = m // d
 
-    transmitters = np.arange(m, dtype=np.int64)
-    i = transmitters // q
-    j = transmitters % q
-    receiver_global = (q - j - 1) * p + (p - i - 1)
+    # Transmitter (i, j) = i*q + j lights receiver (q-j-1)*p + (p-i-1)
+    # = m-1 - (j*p + i); laid out as a (p, q) grid in transmitter order,
+    # so no per-transmitter division is needed.
+    receiver_global = m - 1 - (
+        np.arange(q, dtype=np.int64) * p + np.arange(p, dtype=np.int64)[:, None]
+    ).ravel()
     owner = receiver_global // d
     successors = owner.reshape(n, d)
     return RegularDigraph(successors, name=f"H({p},{q},{d})")

@@ -16,8 +16,9 @@ This module re-runs that search:
   converse digraph, Section 4.2),
 * :func:`h_diameter` — staged diameter computation with early rejection: a
   forward BFS screen, a reverse BFS screen (together they decide strong
-  connectivity), then the batched bit-parallel eccentricity sweep of
-  :mod:`repro.graphs.apsp` with early abort at the target diameter,
+  connectivity; one ``bfs_screen`` call on a compiled kernel backend), then
+  the batched bit-parallel eccentricity sweep of :mod:`repro.graphs.apsp`
+  with early abort at the target diameter,
 * :func:`degree_diameter_search` — sweep a range of ``n`` and report every
   ``(n, p, q)`` whose OTIS digraph has exactly the requested diameter,
   optionally fanned out over a :class:`~concurrent.futures.ProcessPoolExecutor`,
@@ -34,12 +35,15 @@ persistence, and both paths consult the on-disk
 ``cache`` is supplied — overlapping Table 1 blocks share many splits, and the
 verdicts are pure functions of ``(p, q, d, D)``.
 
-The expensive part is the all-pairs stage; it runs on the bit-packed
-``(n, ceil(n/64))`` reachability matrix of
+The all-pairs stage is the expensive one per call; it runs on the
+bit-packed ``(n, ceil(n/64))`` reachability matrix of
 :func:`repro.graphs.apsp.batched_eccentricities`, so no ``n × n`` int64
 distance matrix is ever materialised on the search path (the matrix-based
 :func:`repro.graphs.properties.distance_matrix` remains available as a
-cross-checked reference).  See ``docs/apsp.md`` for the engine's contract.
+cross-checked reference).  But the screens decide all but a handful of
+candidates (18 of the 3303 splits of the D=10 block reach the sweep), so in
+aggregate the screens are the search's hot path — which is why they are
+compiled.  See ``docs/apsp.md`` for the ladder and the engine's contract.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import kernels as _kernels
 from repro.graphs.apsp import batched_eccentricities
 from repro.graphs.digraph import RegularDigraph
 from repro.graphs.moore import kautz_order
@@ -121,7 +126,10 @@ def candidate_splits(n: int, d: int) -> list[tuple[int, int]]:
 
 
 def h_diameter(
-    graph: RegularDigraph, upper_bound: int | None = None
+    graph: RegularDigraph,
+    upper_bound: int | None = None,
+    *,
+    backend: str | None = None,
 ) -> int:
     """Diameter of an OTIS digraph with staged early rejection.
 
@@ -141,27 +149,54 @@ def h_diameter(
        (:func:`repro.graphs.apsp.batched_eccentricities`), which aborts the
        moment any eccentricity is certain to exceed ``upper_bound``.  No
        ``(n, n)`` int64 matrix is allocated at any stage.
+
+    With a compiled kernel backend (see :mod:`repro.kernels`), stages 1–2
+    run as one ``bfs_screen`` kernel call — queue BFSs in the same check
+    order, so the verdict is identical; with ``REPRO_KERNELS=numpy`` they
+    run as the vectorised frontier BFSs :func:`bfs_distances_regular` and
+    :func:`reverse_bfs_distances_regular` (the reference ladder).
+    ``backend`` overrides the backend for this call, as in
+    :func:`~repro.graphs.apsp.batched_eccentricities`.
     """
     n = graph.num_vertices
     if n <= 1:
         return 0
-    # Stage 1: forward BFS from vertex 0.
-    dist0 = bfs_distances_regular(graph, 0)
-    if np.any(dist0 < 0):
-        return -1
-    if upper_bound is not None and int(dist0.max()) > upper_bound:
-        return upper_bound + 1
-    # Stage 2: reverse BFS to vertex 0 — completes the connectivity check
-    # before the all-pairs stage is paid for.
-    rdist0 = reverse_bfs_distances_regular(graph, 0)
-    if np.any(rdist0 < 0):
-        return -1
-    if upper_bound is not None and int(rdist0.max()) > upper_bound:
-        return upper_bound + 1
+    kern = _kernels.get_kernels(backend)
+    if kern is not None:
+        # Stages 1-2 in one kernel call; no eccentricity reaches n, so a
+        # bound of n never cuts.
+        bound = n if upper_bound is None else upper_bound
+        successors = np.ascontiguousarray(graph.successors, dtype=np.int64)
+        screen = kern.bfs_screen(
+            successors,
+            np.empty(n, dtype=np.int64),
+            np.empty(n, dtype=np.int64),
+            np.empty(n + 1, dtype=np.int64),
+            np.empty(successors.size, dtype=np.int64),
+            bound,
+        )
+        if screen < 0 or screen > bound:
+            return screen
+    else:
+        # Stage 1: forward BFS from vertex 0.
+        dist0 = bfs_distances_regular(graph, 0)
+        if np.any(dist0 < 0):
+            return -1
+        if upper_bound is not None and int(dist0.max()) > upper_bound:
+            return upper_bound + 1
+        # Stage 2: reverse BFS to vertex 0 — completes the connectivity
+        # check before the all-pairs stage is paid for.
+        rdist0 = reverse_bfs_distances_regular(graph, 0)
+        if np.any(rdist0 < 0):
+            return -1
+        if upper_bound is not None and int(rdist0.max()) > upper_bound:
+            return upper_bound + 1
     # Stage 3: batched bit-parallel sweep over all sources at once.  The
     # digraph is strongly connected by now, so an abort can only mean the
     # diameter exceeds the bound.
-    ecc, aborted = batched_eccentricities(graph, upper_bound=upper_bound)
+    ecc, aborted = batched_eccentricities(
+        graph, upper_bound=upper_bound, backend=backend
+    )
     if aborted:
         return upper_bound + 1
     return int(ecc.max())

@@ -44,6 +44,21 @@ class TestConstruction:
         assert are_isomorphic(h_digraph(4, 8, 2), de_bruijn(2, 4))
         assert diameter(h_digraph(4, 8, 2)) == 4
 
+    def test_successors_match_the_per_transmitter_formula(self):
+        # h_digraph builds the receiver index without division; pin it,
+        # byte for byte, to the defining formula: transmitter t sits at
+        # (t // q, t % q) and lights receiver (q-j-1)*p + (p-i-1).
+        for d in range(1, 5):
+            for m in range(d, 300 * d, d):
+                for p, q in h_digraph_splits(m // d, d):
+                    for pp, qq in {(p, q), (q, p)}:
+                        t = np.arange(m, dtype=np.int64)
+                        i, j = t // qq, t % qq
+                        owner = ((qq - j - 1) * pp + (pp - i - 1)) // d
+                        got = h_digraph(pp, qq, d).successors
+                        assert got.dtype == np.int64
+                        assert got.tobytes() == owner.reshape(m // d, d).tobytes()
+
     def test_consistency_with_architecture(self):
         # Rebuild H(p, q, d) directly from the OTIS wiring and compare.
         p, q, d = 6, 4, 2

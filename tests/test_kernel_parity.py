@@ -4,6 +4,12 @@ The compiled kernels (:mod:`repro.kernels`) promise results **byte-identical**
 to the vectorised numpy paths — not statistically equal, not approximately
 equal.  This suite is the proof obligation:
 
+* the ``bfs_screen`` kernel is compared through
+  :func:`repro.otis.search.h_diameter` against the numpy screen ladder:
+  every split of the paper's D=8 block, the D=9 and D=10 printed rows,
+  every regular digraph on <= 3 vertices and hypothesis-randomised regular
+  digraphs (self-loops, parallel arcs, ``d = 1``, forward-reachable parts
+  that cannot get back), bounded and unbounded;
 * the apsp kernels (full / subset eccentricity sweeps, subset distance
   rows) are compared against the numpy bit-sweep on exhaustively enumerated
   tiny digraphs and on hypothesis-randomised digraphs (with parallel arcs,
@@ -28,6 +34,8 @@ scalar event-loop engine by ``tests/test_simulation_parity.py``, closing
 the loop: reference engine == numpy path == every kernel backend.
 """
 
+import contextlib
+import itertools
 import math
 
 import numpy as np
@@ -37,9 +45,14 @@ from hypothesis import strategies as st
 
 from repro import kernels
 from repro.graphs.apsp import batched_eccentricities, subset_distance_rows
-from repro.graphs.digraph import Digraph
+from repro.graphs.digraph import Digraph, RegularDigraph
+from repro.graphs.traversal import (
+    bfs_distances_regular,
+    reverse_bfs_distances_regular,
+)
 from repro.kernels._pyimpl import PY_KERNELS
-from repro.otis.h_digraph import h_digraph
+from repro.otis import search
+from repro.otis.h_digraph import h_digraph, h_digraph_splits
 from repro.simulation.network import (
     BatchedNetworkSimulator,
     BufferedLinkModel,
@@ -52,31 +65,33 @@ from repro.simulation.workloads import uniform_random_pairs
 BACKENDS = [b for b in kernels.available_backends() if b != "numpy"] + ["pyimpl"]
 
 
-@pytest.fixture(params=BACKENDS)
-def backend(request, monkeypatch):
-    """One kernel backend name, with ``"pyimpl"`` wired into the dispatch.
+@contextlib.contextmanager
+def pyimpl_dispatch():
+    """Teach the dispatch layer to resolve ``"pyimpl"`` to ``PY_KERNELS``.
 
     ``pyimpl`` is not a registered backend (it is far too slow for
-    production use); for the duration of a test we teach the dispatch layer
-    to resolve it to ``PY_KERNELS`` so the exact integration paths under
-    test — ``batched_eccentricities(backend=...)``,
+    production use); inside this block the exact integration paths under
+    test — ``h_diameter(backend=...)``, ``batched_eccentricities(backend=...)``,
     ``BatchedNetworkSimulator(kernels=...)`` — run it end to end.
     """
-    name = request.param
-    if name == "pyimpl":
-        orig_resolve = kernels.resolve_backend
-        orig_get = kernels.get_kernels
-        monkeypatch.setattr(
-            kernels,
-            "resolve_backend",
-            lambda r=None: "pyimpl" if r == "pyimpl" else orig_resolve(r),
-        )
-        monkeypatch.setattr(
-            kernels,
-            "get_kernels",
-            lambda b=None: PY_KERNELS if b == "pyimpl" else orig_get(b),
-        )
-    return name
+    orig_resolve = kernels.resolve_backend
+    orig_get = kernels.get_kernels
+    kernels.resolve_backend = (
+        lambda r=None: "pyimpl" if r == "pyimpl" else orig_resolve(r)
+    )
+    kernels.get_kernels = lambda b=None: PY_KERNELS if b == "pyimpl" else orig_get(b)
+    try:
+        yield
+    finally:
+        kernels.resolve_backend = orig_resolve
+        kernels.get_kernels = orig_get
+
+
+@pytest.fixture(params=BACKENDS)
+def backend(request):
+    """One kernel backend name, with ``"pyimpl"`` wired into the dispatch."""
+    with pyimpl_dispatch():
+        yield request.param
 
 
 # ---------------------------------------------------------------------- apsp
@@ -185,6 +200,151 @@ def test_h_diameter_sized_sweep(backend):
     for graph in (h_digraph(4, 8, 2), h_digraph(2, 8, 4)):
         assert_apsp_parity(graph, backend)
         assert_apsp_parity(graph, backend, upper_bound=3)
+
+
+# ------------------------------------------------------------ BFS screen
+
+
+def numpy_screen(graph, upper_bound):
+    """Stages 1-2 of the numpy ladder, in ``bfs_screen``'s return convention."""
+    bound = math.inf if upper_bound is None else upper_bound
+    lower = 0
+    for bfs in (bfs_distances_regular, reverse_bfs_distances_regular):
+        dist = bfs(graph, 0)
+        if (dist < 0).any():
+            return -1
+        if dist.max() > bound:
+            return upper_bound + 1
+        lower = max(lower, int(dist.max()))
+    return lower
+
+
+def assert_h_diameter_parity(graph, back, upper_bound):
+    ref = search.h_diameter(graph, upper_bound, backend="numpy")
+    got = search.h_diameter(graph, upper_bound, backend=back)
+    assert got == ref, (graph.successors.tolist(), upper_bound, got, ref)
+    n, d = graph.successors.shape
+    if n >= 2:
+        # The screen itself, not only the verdict (which stage 3 could
+        # repair): same check order, same lower bound when it passes.
+        screen = kernels.get_kernels(back).bfs_screen(
+            graph.successors,
+            np.empty(n, dtype=np.int64),
+            np.empty(n, dtype=np.int64),
+            np.empty(n + 1, dtype=np.int64),
+            np.empty(n * d, dtype=np.int64),
+            n if upper_bound is None else upper_bound,
+        )
+        assert screen == numpy_screen(graph, upper_bound)
+
+
+def table1_splits(ns):
+    """Every ``H(p, q, 2)`` split of the given node counts, ``p <= q``."""
+    return [
+        h_digraph(p, q, 2)
+        for n in ns
+        for p, q in h_digraph_splits(n, 2)
+    ]
+
+
+def test_h_diameter_screen_runs_in_the_kernel(backend, monkeypatch):
+    # Parity is only evidence if the kernel actually ran: the numpy
+    # screens must not be reached on a compiled (or pyimpl) backend.
+    def numpy_screen(*_args):
+        raise AssertionError("numpy screen reached")
+
+    monkeypatch.setattr(search, "bfs_distances_regular", numpy_screen)
+    monkeypatch.setattr(search, "reverse_bfs_distances_regular", numpy_screen)
+    assert search.h_diameter(h_digraph(4, 8, 2), 4, backend=backend) == 4
+    assert search.h_diameter(h_digraph(4, 4, 2), 4, backend=backend) == -1
+
+
+def test_h_diameter_exhaustive_tiny_regular(backend):
+    # Every (n, d) successor matrix with n <= 3, d <= 2: the n = 1 early
+    # return, d = 1 cycles and paths, self-loops, parallel arcs, sinks.
+    for n, d in [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (3, 1), (3, 2)]:
+        for flat in itertools.product(range(n), repeat=n * d):
+            graph = RegularDigraph(np.array(flat, dtype=np.int64).reshape(n, d))
+            for ub in (None, -1, 0, 1, 2):
+                assert_h_diameter_parity(graph, backend, ub)
+
+
+def test_h_diameter_reverse_screen_decides(backend):
+    # Out-tree from 0 (ecc(0) = 4), but the leaves only get back through a
+    # chain ending in the single arc n-1 -> 0 (max d(u, 0) = 16): for every
+    # bound in between, only the reverse eccentricity cut can reject.
+    n = 31
+    rows = [[2 * u + 1, 2 * u + 2] for u in range(n // 2)]
+    rows += [[u + 1, u + 1] for u in range(n // 2, n - 1)] + [[0, 0]]
+    graph = RegularDigraph(rows)
+    for ub in [None, *range(n + 1)]:
+        assert_h_diameter_parity(graph, backend, ub)
+
+
+def test_h_diameter_table1_d8_block(backend):
+    # Every split of the D=8 block the paper searches (n = 253..384).
+    for graph in table1_splits(range(253, 385)):
+        assert_h_diameter_parity(graph, backend, 8)
+
+
+@pytest.mark.parametrize("diameter", [9, 10])
+def test_h_diameter_table1_printed_rows(backend, diameter):
+    for graph in table1_splits(n for n, _ in search.PAPER_TABLE1[diameter]):
+        assert_h_diameter_parity(graph, backend, diameter)
+
+
+def test_h_diameter_table1_unbounded():
+    # Unbounded calls send every strongly connected split through the full
+    # sweep, which the interpreted build would take minutes over; pyimpl
+    # runs unbounded on the randomised digraphs below instead.
+    for back in BACKENDS:
+        if back == "pyimpl":
+            continue
+        for diameter in (8, 9, 10):
+            ns = [n for n, _ in search.PAPER_TABLE1[diameter]]
+            for graph in table1_splits(ns):
+                assert_h_diameter_parity(graph, back, None)
+
+
+@st.composite
+def regular_digraphs(draw, max_n=24):
+    """Random regular digraphs, optionally forced round a Hamiltonian cycle.
+
+    ``shape="sink"`` keeps every vertex reachable from 0 (column 0 walks
+    0 -> 1 -> ... -> n-1) but turns n-1 into a sink, so the forward screen
+    passes and only the reverse screen can reject.
+    """
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    d = draw(st.integers(min_value=1, max_value=3))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(0, n - 1), min_size=d, max_size=d),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    shape = draw(st.sampled_from(["random", "cycle", "sink"]))
+    if shape != "random":
+        for u in range(n):
+            rows[u][0] = (u + 1) % n
+        if shape == "sink":
+            rows[n - 1] = [n - 1] * d
+    return RegularDigraph(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=regular_digraphs(), data=st.data())
+def test_h_diameter_randomised(graph, data):
+    ub = data.draw(
+        st.one_of(
+            st.none(),
+            st.integers(min_value=0, max_value=graph.num_vertices + 1),
+        )
+    )
+    with pyimpl_dispatch():
+        for back in BACKENDS:
+            assert_h_diameter_parity(graph, back, ub)
+            assert_h_diameter_parity(graph, back, None)
 
 
 # ----------------------------------------------------------------- simulator

@@ -1,9 +1,11 @@
 """Compiled kernel backends for the engine hot loops.
 
 The BFS screen ladder of :func:`repro.otis.search.h_diameter`, the uint64
-bit-sweep behind :mod:`repro.graphs.apsp` and the same-timestamp round
+bit-sweep behind :mod:`repro.graphs.apsp`, the same-timestamp round
 resolution behind :class:`repro.simulation.network.BatchedNetworkSimulator`
-each have a compiled implementation here, selected at run time:
+and that simulator's whole degrading-scenario event loop (faults,
+arc-disjoint reroute, finite buffers) each have a compiled implementation
+here, selected at run time:
 
 ``numba``
     :func:`numba.njit` over the shared jittable source
@@ -163,10 +165,12 @@ def warmup(backend: str | None = None) -> str:
     """Force-compile every kernel of the resolved backend; returns its name.
 
     One tiny end-to-end call per engine seam: a 2-vertex ``h_diameter``
-    (BFS screen plus eccentricity sweep), a 1-source subset sweep, and a
-    2-message simulation.  After this returns, no JIT or C compile cost can
-    land inside a benchmark key, a first solve or a first request.  A no-op
-    (beyond resolution) for ``numpy``.
+    (BFS screen plus eccentricity sweep), a 1-source subset sweep, a
+    2-message simulation and a 2-message degrading scenario (one link down,
+    a capacity-1 retry buffer, arc-disjoint reroute).  After this returns,
+    no JIT or C compile cost can land inside a benchmark key, a first solve,
+    a first scenario sweep or a first request.  A no-op (beyond resolution)
+    for ``numpy``.
     """
     resolved = resolve_backend(backend)
     if resolved == "numpy":
@@ -174,7 +178,8 @@ def warmup(backend: str | None = None) -> str:
     from repro.graphs.apsp import batched_eccentricities, subset_distance_rows
     from repro.graphs.digraph import Digraph, RegularDigraph
     from repro.otis.search import h_diameter
-    from repro.simulation.network import BatchedNetworkSimulator
+    from repro.simulation.network import BatchedNetworkSimulator, BufferedLinkModel
+    from repro.simulation.scenarios import FaultEvent, FaultPlan, Scenario
 
     graph = Digraph(2, [(0, 1), (1, 0)])
     h_diameter(RegularDigraph([[1], [0]]), 1, backend=resolved)
@@ -182,6 +187,13 @@ def warmup(backend: str | None = None) -> str:
     batched_eccentricities(graph, 1, sources=[0], backend=resolved)
     subset_distance_rows(graph, [0], backend=resolved)
     sim = BatchedNetworkSimulator(graph, kernels=resolved)
+    sim.run_many([[(0, 1, 0.0), (1, 0, 0.0)]], return_messages=False)
+    degrading = Scenario(
+        link=BufferedLinkModel(capacity=1, on_full="retry"),
+        faults=FaultPlan((FaultEvent(0.5, "link_down", 0),)),
+        reroute="arc-disjoint",
+    )
+    sim = BatchedNetworkSimulator(graph, scenario=degrading, kernels=resolved)
     sim.run_many([[(0, 1, 0.0), (1, 0, 0.0)]], return_messages=False)
     return resolved
 

@@ -31,7 +31,10 @@ through an open-addressing hash on the canonicalised float bit pattern
 (``-0.0`` hashes as ``+0.0``, matching python dict keys); dead entries
 tombstone and the table rebuilds from the live heap when tombstones pile
 up.  Since bucket times are distinct, ordering the heap by time alone
-reproduces the ``(time, insertion-sequence)`` contract.
+reproduces the ``(time, insertion-sequence)`` contract.  The healthy
+engine drives that queue round by round (``make_round_driver``: the router
+runs in python between a pop and a finish); degrading scenarios run their
+whole event loop in one ``scenario_run`` call over precomputed next hops.
 
 The queue state is a flat tuple of arrays (``QUEUE``/``Q`` below)::
 
@@ -63,6 +66,7 @@ KERNEL_NAMES = (
     "subset_rows_sweep",
     "subset_ecc_sweep",
     "make_round_driver",
+    "scenario_run",
 )
 
 
@@ -482,7 +486,7 @@ def build_kernels(jit):
             )
 
     @jit
-    def pop_round(
+    def _queue_pop(
         heap_time,
         heap_bid,
         bucket_head,
@@ -495,37 +499,23 @@ def build_kernels(jit):
         fbits,
         ubits,
         limit,
-        loc,
-        dst,
         slots_out,
-        tails_out,
-        dests_out,
-        meta,
     ):
         """Drain the minimum-time bucket (up to ``limit`` events).
 
         Writes the popped slots (in insertion order = sequence order) to
-        ``slots_out`` and the forwarding subset's current node /
-        destination to ``tails_out`` / ``dests_out`` (read-only pass: no
-        simulation state is mutated yet, so the router sees exactly what
-        the reference loop's per-event calls see).  A ``limit`` hit leaves
-        the bucket's remaining events queued at the same time, exactly like
-        ``BatchEventQueue.pop_batch(limit=...)``.  ``meta[0]`` = popped
-        count, ``meta[1]`` = forwarding count.
+        ``slots_out`` and returns their count.  A ``limit`` hit leaves the
+        bucket's remaining events queued at the same time, exactly like
+        ``BatchEventQueue.pop_batch(limit=...)``; a drained bucket is
+        retired, so events pushed at the same time later open a new one.
         """
         t = heap_time[0]
         bid = heap_bid[0]
         count = 0
-        nfwd = 0
         cur = bucket_head[bid]
         while cur >= 0 and count < limit:
             slots_out[count] = cur
             count += 1
-            node = loc[cur]
-            if node != dst[cur]:
-                tails_out[nfwd] = node
-                dests_out[nfwd] = dst[cur]
-                nfwd += 1
             cur = next_slot[cur]
         if cur >= 0:
             bucket_head[bid] = cur  # limit hit: leftovers stay queued
@@ -555,6 +545,61 @@ def build_kernels(jit):
             if size > 0:
                 heap_time[i] = mt
                 heap_bid[i] = mb
+        return count
+
+    @jit
+    def pop_round(
+        heap_time,
+        heap_bid,
+        bucket_head,
+        bucket_tail,
+        next_slot,
+        free_bids,
+        hash_time,
+        hash_state,
+        qstate,
+        fbits,
+        ubits,
+        limit,
+        loc,
+        dst,
+        slots_out,
+        tails_out,
+        dests_out,
+        meta,
+    ):
+        """Pop one round: :func:`_queue_pop` plus the forwarding subset.
+
+        Writes the popped slots to ``slots_out`` and the forwarding
+        subset's current node / destination to ``tails_out`` /
+        ``dests_out`` (read-only pass: no simulation state is mutated yet,
+        so the router sees exactly what the reference loop's per-event
+        calls see).  ``meta[0]`` = popped count, ``meta[1]`` = forwarding
+        count.
+        """
+        count = _queue_pop(
+            heap_time,
+            heap_bid,
+            bucket_head,
+            bucket_tail,
+            next_slot,
+            free_bids,
+            hash_time,
+            hash_state,
+            qstate,
+            fbits,
+            ubits,
+            limit,
+            slots_out,
+        )
+        nfwd = 0
+        for k2 in range(count):
+            cur = slots_out[k2]
+            node = loc[cur]
+            if node != dst[cur]:
+                tails_out[nfwd] = node
+                dests_out[nfwd] = dst[cur]
+                nfwd += 1
         meta[0] = count
         meta[1] = nfwd
 
@@ -682,6 +727,286 @@ def build_kernels(jit):
             nm += 1
         meta[0] = nm
 
+    @jit
+    def scenario_run(
+        heap_time,
+        heap_bid,
+        bucket_head,
+        bucket_tail,
+        next_slot,
+        free_bids,
+        hash_time,
+        hash_state,
+        qstate,
+        fbits,
+        ubits,
+        loc,
+        dst,
+        dcol,
+        hops,
+        arrival,
+        prev_link,
+        rep,
+        retries,
+        reason,
+        last_time,
+        busy_until,
+        queue_len,
+        max_queue,
+        tx_count,
+        counters,
+        group_keys,
+        group_ptr,
+        flat_links,
+        vertex_groups,
+        n,
+        m,
+        primary,
+        distance,
+        fault_kind,
+        fault_target,
+        link_down,
+        node_down,
+        T,
+        L,
+        capacity,
+        on_retry,
+        retry_delay,
+        max_retries,
+        ttl,
+        reroute,
+        until,
+        max_events,
+        batch,
+        kstate,
+        tnow,
+        log_links,
+        log_starts,
+        log_movers,
+        log_cap,
+    ):
+        """The whole degrading-scenario event loop of one pooled run.
+
+        The literal per-event algorithm of ``repro.simulation.network.
+        BatchedNetworkSimulator._run_many_scenario``, batch by batch off
+        the kernel event queue.  Queue slots ``0..N-1`` are messages,
+        ``N..`` fault events (``fault_kind`` 0 link_down, 1 link_up,
+        2 node_down, 3 node_up; ``link_down``/``node_down`` are the shared
+        0/1 flags).  ``primary[v, c]`` is the router's next hop from ``v``
+        towards the ``c``-th distinct destination and ``distance[v, c]``
+        the healthy hop count (read only when ``reroute``); ``dcol`` maps
+        each message to its column.  Drops write ``reason`` codes (1
+        buffer, 2 fault, 3 hops); ``counters`` is ``(R, 5)`` in
+        ``NetworkStats`` order (dropped buffer/fault/hops, retransmits,
+        rerouted hops).  ``capacity < 0`` / ``ttl < 0`` mean unlimited.
+
+        The loop state — position in the popped ``batch``, its size,
+        events processed, log entries — lives in ``kstate``, the batch
+        time in ``tnow``, so the call can stop and resume: with
+        ``log_cap >= 0`` every transmission is logged and the call returns
+        1 when the log is full (the caller drains it, resets
+        ``kstate[3]`` and calls again); it returns 0 when the run is over
+        (queue empty, ``until`` passed or ``max_events`` reached).
+        """
+        N = loc.shape[0]
+        R = last_time.shape[0]
+        pos = kstate[0]
+        count = kstate[1]
+        processed = kstate[2]
+        nlog = kstate[3]
+        t = tnow[0]
+        status = 0
+        while True:
+            if pos >= count:
+                if qstate[0] == 0:
+                    break
+                t = heap_time[0]
+                if t > until:
+                    break
+                limit = max_events - processed
+                if limit <= 0:
+                    break
+                count = _queue_pop(
+                    heap_time,
+                    heap_bid,
+                    bucket_head,
+                    bucket_tail,
+                    next_slot,
+                    free_bids,
+                    hash_time,
+                    hash_state,
+                    qstate,
+                    fbits,
+                    ubits,
+                    limit,
+                    batch,
+                )
+                processed += count
+                pos = 0
+            if log_cap >= 0 and nlog == log_cap:
+                status = 1  # log full: the caller drains it and resumes
+                break
+            i = batch[pos]
+            pos += 1
+            if i >= N:
+                # fail-stop flip; the fault timeline is global
+                f = i - N
+                kind = fault_kind[f]
+                target = fault_target[f]
+                if kind == 0:
+                    link_down[target] = 1
+                elif kind == 1:
+                    link_down[target] = 0
+                elif kind == 2:
+                    node_down[target] = 1
+                else:
+                    node_down[target] = 0
+                for r2 in range(R):
+                    last_time[r2] = t
+                continue
+            r = rep[i]
+            last_time[r] = t
+            il = prev_link[i]
+            if il >= 0:
+                hops[i] += 1
+                queue_len[il] -= 1
+                prev_link[i] = -1
+            node = loc[i]
+            if node_down[node]:
+                reason[i] = 2
+                counters[r, 1] += 1
+                continue
+            if node == dst[i]:
+                arrival[i] = t
+                continue
+            if ttl >= 0 and hops[i] >= ttl:
+                reason[i] = 3
+                counters[r, 2] += 1
+                continue
+            col = dcol[i]
+            first = primary[node, col]
+            if first < 0:
+                continue  # unreachable in the healthy topology
+            # the vertex's groups, ascending by neighbour: the primary hop
+            # if it is usable (live neighbour, some live link), else the
+            # live neighbour minimising (healthy distance, neighbour id)
+            row = node * n
+            g0 = vertex_groups[node]
+            g1 = vertex_groups[node + 1]
+            nx = -2
+            g = -1
+            if node_down[first] == 0:
+                for q2 in range(g0, g1):
+                    if group_keys[q2] == row + first:
+                        for p in range(group_ptr[q2], group_ptr[q2 + 1]):
+                            if link_down[flat_links[p]] == 0:
+                                nx = first
+                                g = q2
+                                break
+                        break
+            rerouted = False
+            if nx < 0 and reroute:
+                best_distance = -1
+                for q2 in range(g0, g1):
+                    v = group_keys[q2] - row
+                    if v == first or node_down[v]:
+                        continue
+                    live = False
+                    for p in range(group_ptr[q2], group_ptr[q2 + 1]):
+                        if link_down[flat_links[p]] == 0:
+                            live = True
+                            break
+                    if not live:
+                        continue
+                    dv = distance[v, col]
+                    if dv < 0:
+                        continue
+                    if nx < 0 or dv < best_distance:
+                        nx = v
+                        best_distance = dv
+                        g = q2
+                rerouted = nx >= 0
+            if nx < 0:
+                reason[i] = 2
+                counters[r, 1] += 1
+                continue
+            # live links with buffer room: (busy_until, link id) minimum
+            base = r * m
+            best = -1
+            bb = 0.0
+            for p in range(group_ptr[g], group_ptr[g + 1]):
+                lid = flat_links[p]
+                if link_down[lid]:
+                    continue
+                cand = base + lid
+                if capacity >= 0 and queue_len[cand] >= capacity:
+                    continue
+                cb = busy_until[cand]
+                if best < 0 or cb < bb:
+                    best = cand
+                    bb = cb
+            if best < 0:
+                if on_retry and retries[i] < max_retries:
+                    retries[i] += 1
+                    counters[r, 3] += 1
+                    _queue_push(
+                        heap_time,
+                        heap_bid,
+                        bucket_head,
+                        bucket_tail,
+                        next_slot,
+                        free_bids,
+                        hash_time,
+                        hash_state,
+                        qstate,
+                        fbits,
+                        ubits,
+                        t + retry_delay,
+                        i,
+                    )
+                else:
+                    reason[i] = 1
+                    counters[r, 0] += 1
+                continue
+            start = bb if bb > t else t  # python's max(t, busy), literally
+            finish = start + T
+            busy_until[best] = finish
+            depth = queue_len[best] + 1
+            queue_len[best] = depth
+            if depth > max_queue[r]:
+                max_queue[r] = depth
+            tx_count[r] += 1
+            if rerouted:
+                counters[r, 4] += 1
+            prev_link[i] = best
+            loc[i] = nx
+            _queue_push(
+                heap_time,
+                heap_bid,
+                bucket_head,
+                bucket_tail,
+                next_slot,
+                free_bids,
+                hash_time,
+                hash_state,
+                qstate,
+                fbits,
+                ubits,
+                finish + L,
+                i,
+            )
+            if log_cap >= 0:
+                log_links[nlog] = best
+                log_starts[nlog] = start
+                log_movers[nlog] = i
+                nlog += 1
+        kstate[0] = pos
+        kstate[1] = count
+        kstate[2] = processed
+        kstate[3] = nlog
+        tnow[0] = t
+        return status
+
     class RoundDriver:
         """Pre-bound per-run driver: the arrays are captured once.
 
@@ -769,8 +1094,10 @@ def build_kernels(jit):
         subset_rows_sweep=subset_rows_sweep,
         subset_ecc_sweep=subset_ecc_sweep,
         make_round_driver=make_round_driver,
-        # exposed for the differential tests (not used by the engines)
+        scenario_run=scenario_run,
+        # seeds scenario_run's queue; the round driver binds it itself
         queue_schedule=queue_schedule,
+        # exposed for the differential tests (not used by the engines)
         pop_round=pop_round,
         finish_round=finish_round,
     )

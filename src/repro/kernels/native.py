@@ -373,23 +373,17 @@ EXPORT void queue_schedule(
         queue_push(QUEUE_ARGS, times[c], slots[c]);
 }
 
-EXPORT void pop_round(
-    QUEUE_PARAMS, int64_t limit, const int64_t *loc, const int64_t *dst,
-    int64_t *slots_out, int64_t *tails_out, int64_t *dests_out, int64_t *meta)
+/* Drain the minimum-time bucket (up to limit events) into slots_out and
+ * return the count; a limit hit leaves the rest queued at the same time, a
+ * drained bucket is retired. */
+static int64_t queue_pop(QUEUE_PARAMS, int64_t limit, int64_t *slots_out)
 {
     double t = heap_time[0];
     int64_t bid = heap_bid[0];
     int64_t count = 0;
-    int64_t nfwd = 0;
     int64_t cur = bucket_head[bid];
     while (cur >= 0 && count < limit) {
         slots_out[count++] = cur;
-        int64_t node = loc[cur];
-        if (node != dst[cur]) {
-            tails_out[nfwd] = node;
-            dests_out[nfwd] = dst[cur];
-            nfwd++;
-        }
         cur = next_slot[cur];
     }
     if (cur >= 0) {
@@ -417,6 +411,24 @@ EXPORT void pop_round(
             } else break;
         }
         if (size > 0) { heap_time[i] = mt; heap_bid[i] = mb; }
+    }
+    return count;
+}
+
+EXPORT void pop_round(
+    QUEUE_PARAMS, int64_t limit, const int64_t *loc, const int64_t *dst,
+    int64_t *slots_out, int64_t *tails_out, int64_t *dests_out, int64_t *meta)
+{
+    int64_t count = queue_pop(QUEUE_ARGS, limit, slots_out);
+    int64_t nfwd = 0;
+    for (int64_t k2 = 0; k2 < count; k2++) {
+        int64_t cur = slots_out[k2];
+        int64_t node = loc[cur];
+        if (node != dst[cur]) {
+            tails_out[nfwd] = node;
+            dests_out[nfwd] = dst[cur];
+            nfwd++;
+        }
     }
     meta[0] = count;
     meta[1] = nfwd;
@@ -487,6 +499,188 @@ EXPORT void finish_round(
     }
     meta[0] = nm;
 }
+
+/* The whole degrading-scenario event loop of one pooled run (see
+ * _pyimpl.scenario_run).  primary/distance are (n, k) row-major, counters
+ * (R, 5); kstate = [batch position, batch size, processed, log entries].
+ * Returns 1 when the transmission log is full (drain and call again), 0
+ * when the run is over. */
+EXPORT int64_t scenario_run(
+    QUEUE_PARAMS,
+    int64_t *loc, const int64_t *dst, const int64_t *dcol, int64_t *hops,
+    double *arrival, int64_t *prev_link, const int64_t *rep,
+    int64_t *retries, int64_t *reason,
+    double *last_time, double *busy_until, int64_t *queue_len,
+    int64_t *max_queue, int64_t *tx_count, int64_t *counters,
+    const int64_t *group_keys, const int64_t *group_ptr,
+    const int64_t *flat_links, const int64_t *vertex_groups,
+    int64_t n, int64_t m,
+    const int64_t *primary, const int64_t *distance, int64_t k,
+    const int64_t *fault_kind, const int64_t *fault_target,
+    uint8_t *link_down, uint8_t *node_down,
+    double T, double L, int64_t capacity, int64_t on_retry,
+    double retry_delay, int64_t max_retries, int64_t ttl, int64_t reroute,
+    double until, int64_t max_events,
+    int64_t *batch, int64_t *kstate, double *tnow,
+    int64_t *log_links, double *log_starts, int64_t *log_movers,
+    int64_t log_cap, int64_t N, int64_t R)
+{
+    int64_t pos = kstate[0];
+    int64_t count = kstate[1];
+    int64_t processed = kstate[2];
+    int64_t nlog = kstate[3];
+    double t = tnow[0];
+    int64_t status = 0;
+    for (;;) {
+        if (pos >= count) {
+            if (qstate[0] == 0) break;
+            t = heap_time[0];
+            if (t > until) break;
+            int64_t limit = max_events - processed;
+            if (limit <= 0) break;
+            count = queue_pop(QUEUE_ARGS, limit, batch);
+            processed += count;
+            pos = 0;
+        }
+        if (log_cap >= 0 && nlog == log_cap) {
+            status = 1;  /* log full: the caller drains it and resumes */
+            break;
+        }
+        int64_t i = batch[pos++];
+        if (i >= N) {
+            /* fail-stop flip; the fault timeline is global */
+            int64_t f = i - N;
+            int64_t kind = fault_kind[f];
+            int64_t target = fault_target[f];
+            if (kind == 0) link_down[target] = 1;
+            else if (kind == 1) link_down[target] = 0;
+            else if (kind == 2) node_down[target] = 1;
+            else node_down[target] = 0;
+            for (int64_t r2 = 0; r2 < R; r2++) last_time[r2] = t;
+            continue;
+        }
+        int64_t r = rep[i];
+        last_time[r] = t;
+        int64_t il = prev_link[i];
+        if (il >= 0) {
+            hops[i]++;
+            queue_len[il]--;
+            prev_link[i] = -1;
+        }
+        int64_t node = loc[i];
+        if (node_down[node]) {
+            reason[i] = 2;
+            counters[r * 5 + 1]++;
+            continue;
+        }
+        if (node == dst[i]) {
+            arrival[i] = t;
+            continue;
+        }
+        if (ttl >= 0 && hops[i] >= ttl) {
+            reason[i] = 3;
+            counters[r * 5 + 2]++;
+            continue;
+        }
+        int64_t col = dcol[i];
+        int64_t first = primary[node * k + col];
+        if (first < 0) continue;  /* unreachable in the healthy topology */
+        /* the vertex's groups, ascending by neighbour: the primary hop if it
+           is usable (live neighbour, some live link), else the live
+           neighbour minimising (healthy distance, neighbour id) */
+        int64_t row = node * n;
+        int64_t g0 = vertex_groups[node];
+        int64_t g1 = vertex_groups[node + 1];
+        int64_t nx = -2;
+        int64_t g = -1;
+        if (node_down[first] == 0) {
+            for (int64_t q2 = g0; q2 < g1; q2++) {
+                if (group_keys[q2] == row + first) {
+                    for (int64_t p = group_ptr[q2]; p < group_ptr[q2 + 1]; p++) {
+                        if (link_down[flat_links[p]] == 0) {
+                            nx = first;
+                            g = q2;
+                            break;
+                        }
+                    }
+                    break;
+                }
+            }
+        }
+        int rerouted = 0;
+        if (nx < 0 && reroute) {
+            int64_t best_distance = -1;
+            for (int64_t q2 = g0; q2 < g1; q2++) {
+                int64_t v = group_keys[q2] - row;
+                if (v == first || node_down[v]) continue;
+                int live = 0;
+                for (int64_t p = group_ptr[q2]; p < group_ptr[q2 + 1]; p++) {
+                    if (link_down[flat_links[p]] == 0) { live = 1; break; }
+                }
+                if (!live) continue;
+                int64_t dv = distance[v * k + col];
+                if (dv < 0) continue;
+                if (nx < 0 || dv < best_distance) {
+                    nx = v;
+                    best_distance = dv;
+                    g = q2;
+                }
+            }
+            rerouted = nx >= 0;
+        }
+        if (nx < 0) {
+            reason[i] = 2;
+            counters[r * 5 + 1]++;
+            continue;
+        }
+        /* live links with buffer room: (busy_until, link id) minimum */
+        int64_t base = r * m;
+        int64_t best = -1;
+        double bb = 0.0;
+        for (int64_t p = group_ptr[g]; p < group_ptr[g + 1]; p++) {
+            int64_t lid = flat_links[p];
+            if (link_down[lid]) continue;
+            int64_t cand = base + lid;
+            if (capacity >= 0 && queue_len[cand] >= capacity) continue;
+            double cb = busy_until[cand];
+            if (best < 0 || cb < bb) { best = cand; bb = cb; }
+        }
+        if (best < 0) {
+            if (on_retry && retries[i] < max_retries) {
+                retries[i]++;
+                counters[r * 5 + 3]++;
+                queue_push(QUEUE_ARGS, t + retry_delay, i);
+            } else {
+                reason[i] = 1;
+                counters[r * 5 + 0]++;
+            }
+            continue;
+        }
+        double start = bb > t ? bb : t;  /* python's max(t, busy), literally */
+        double finish = start + T;
+        busy_until[best] = finish;
+        int64_t depth = queue_len[best] + 1;
+        queue_len[best] = depth;
+        if (depth > max_queue[r]) max_queue[r] = depth;
+        tx_count[r]++;
+        if (rerouted) counters[r * 5 + 4]++;
+        prev_link[i] = best;
+        loc[i] = nx;
+        queue_push(QUEUE_ARGS, finish + L, i);
+        if (log_cap >= 0) {
+            log_links[nlog] = best;
+            log_starts[nlog] = start;
+            log_movers[nlog] = i;
+            nlog++;
+        }
+    }
+    kstate[0] = pos;
+    kstate[1] = count;
+    kstate[2] = processed;
+    kstate[3] = nlog;
+    tnow[0] = t;
+    return status;
+}
 """
 
 SOURCE_DIGEST = hashlib.sha256(C_SOURCE.encode()).hexdigest()
@@ -527,6 +721,21 @@ _SIGNATURES = {
          _I, _I]                              # n, m
         + _QSIG
         + [_i64, _f64, _i64, _i64],           # out_links, out_starts, out_movers, meta
+        # fmt: on
+    ),
+    "scenario_run": (
+        _I,
+        # fmt: off
+        _QSIG
+        + [_P] * 9                            # loc .. reason
+        + [_P] * 6                            # last_time .. counters
+        + [_P] * 4 + [_I, _I]                 # group arrays, n, m
+        + [_P, _P, _I]                        # primary, distance, k
+        + [_P] * 4                            # fault_kind .. node_down
+        + [_D, _D, _I, _I, _D, _I, _I, _I]    # T .. reroute
+        + [_D, _I]                            # until, max_events
+        + [_P] * 6                            # batch, kstate, tnow, log_*
+        + [_I, _I, _I],                       # log_cap, N, R
         # fmt: on
     ),
 }
@@ -607,6 +816,27 @@ def _load(lib_path: Path) -> ctypes.CDLL:
 
 def _ptr(arr, ctype):
     return arr.ctypes.data_as(ctype)
+
+
+_DTYPES = {"i": "int64", "f": "float64", "u": "uint8"}
+
+
+def _addresses(arrays, kinds):
+    """Raw addresses of C-contiguous arrays of the given dtypes, in order.
+
+    ``kinds`` spells one dtype per array (``i`` int64, ``f`` float64, ``u``
+    uint8); anything else raises ``TypeError`` instead of letting C read
+    the wrong layout.
+    """
+    out = []
+    for arr, kind in zip(arrays, kinds, strict=True):
+        if arr.dtype != _DTYPES[kind] or not arr.flags.c_contiguous:
+            raise TypeError(
+                f"kernel array needs C-contiguous {_DTYPES[kind]}, got "
+                f"{arr.dtype} (c_contiguous={arr.flags.c_contiguous})"
+            )
+        out.append(arr.ctypes.data)
+    return out
 
 
 def _queue_ptrs(queue):
@@ -784,14 +1014,33 @@ def build_native_kernels() -> SimpleNamespace:
         def make_round_driver(queue, msg, links, topo, bufs, T, L):
             return RoundDriver(queue, msg, links, topo, bufs, T, L)
 
+        def scenario_run(*args):
+            # one call per run (a few when tracing), so every array is
+            # checked against its C type before its raw address goes in
+            queue, per_message = args[:11], args[11:30]  # loc .. vertex_groups
+            n, m, primary, distance = args[30:34]
+            faults, scalars, loop = args[34:38], args[38:48], args[48:54]
+            loc, last_time, log_cap = args[11], args[20], args[54]
+            return lib.scenario_run(
+                *_queue_ptrs(queue),
+                *_addresses(per_message, "iiiifiiiiffiiiiiiii"), n, m,
+                *_addresses((primary, distance), "ii"), primary.shape[1],
+                *_addresses(faults, "iiuu"),
+                *scalars,
+                *_addresses(loop, "iififi"),
+                log_cap, loc.shape[0], last_time.shape[0],
+            )
+
         kernels = SimpleNamespace(
             bfs_screen=bfs_screen,
             ecc_sweep=ecc_sweep,
             subset_rows_sweep=subset_rows_sweep,
             subset_ecc_sweep=subset_ecc_sweep,
             make_round_driver=make_round_driver,
-            # exposed for the differential tests (not used by the engines)
+            scenario_run=scenario_run,
+            # seeds scenario_run's queue; the round driver binds it itself
             queue_schedule=queue_schedule,
+            # exposed for the differential tests (not used by the engines)
             pop_round=pop_round,
             finish_round=finish_round,
         )

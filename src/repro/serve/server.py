@@ -172,8 +172,15 @@ class RouteQueryServer:
                 if request is None:
                     break
                 method, path, headers, body = request
-                keep_alive = headers.get("connection", "").lower() != "close"
-                result = await self._dispatch(method, path, body)
+                if body is None:
+                    # unparseable Content-Length: the body's extent is
+                    # unknown, so answer and drop the connection
+                    error = f"invalid Content-Length {headers['content-length']!r}"
+                    result = ("400 Bad Request", {"ok": False, "error": error})
+                    keep_alive = False
+                else:
+                    keep_alive = headers.get("connection", "").lower() != "close"
+                    result = await self._dispatch(method, path, body)
                 status, reply = result[0], result[1]
                 extra = result[2] if len(result) > 2 else {}
                 extra_lines = "".join(
@@ -216,7 +223,11 @@ class RouteQueryServer:
 
     @staticmethod
     async def _read_request(reader):
-        """Parse one HTTP/1.1 request; None on a cleanly closed connection."""
+        """Parse one HTTP/1.1 request; None on a cleanly closed connection.
+
+        A ``Content-Length`` that is not a plain decimal count comes back
+        with body ``None`` and nothing read past the headers.
+        """
         line = await reader.readline()
         if not line:
             return None
@@ -231,8 +242,11 @@ class RouteQueryServer:
                 break
             key, _, value = header.decode("latin-1").partition(":")
             headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
-        body = await reader.readexactly(length) if length else b""
+        length = headers.get("content-length", "0") or "0"
+        if not (length.isascii() and length.isdigit()):
+            return method, path, headers, None
+        size = int(length)
+        body = await reader.readexactly(size) if size else b""
         return method, path, headers, body
 
     async def _dispatch(self, method: str, path: str, body: bytes):

@@ -62,16 +62,29 @@ Both engines accept ``scenario=`` (a :class:`repro.simulation.scenarios.
 Scenario`) composing finite link buffers (:class:`BufferedLinkModel`),
 deterministic fault timelines and a reroute policy on top of the healthy
 model.  A scenario that actually degrades the network
-(``scenario.needs_event_exact()``) is simulated with the *per-event scalar
-kernel* in both engines: the batched engine keeps its
-:class:`~repro.simulation.events.BatchEventQueue` batching for event
-selection (fault events occupy the slots past the message range) but
-resolves every link acquisition with the same scalar float ops as the
-reference loop, so the bit-identical parity contract extends to every
+(``scenario.needs_event_exact()``) is simulated *per event* in both
+engines: the batched engine keeps same-timestamp batching for event
+selection (fault events occupy the queue slots past the message range) but
+resolves every event in sequence order with the same scalar float ops as
+the reference loop, so the bit-identical parity contract extends to every
 layer combination — failures, finite buffers, retransmits, deflection
-rerouting (enforced by ``tests/test_scenarios.py``).  An arrival-only
-scenario (default link, no faults) runs through the unchanged vector path:
-healthy workloads pay nothing for the scenario seam.
+rerouting (enforced by ``tests/test_scenarios.py`` and, per kernel
+backend, ``tests/test_kernel_parity.py``).  On a compiled kernel backend
+the whole event loop is one ``scenario_run`` kernel call over next hops
+precomputed with a single ``router.next_hops`` call (every vertex towards
+every destination of the pooled traffic), which is why it needs the dense
+regime, ``n <= AUTO_DENSE_MAX_N`` — the bound arc-disjoint reroute already
+has; past it, and under ``REPRO_KERNELS=numpy``, the interpreted loop
+runs.  ``kernel_backend`` reports which.  Drops are recorded as codes
+(:data:`DROP_REASONS`) and turned into ``NetworkStats`` counters and
+``Message.drop_reason`` afterwards.  An arrival-only scenario (default
+link, no faults) runs through the unchanged healthy path: healthy
+workloads pay nothing for the scenario seam.
+
+Message endpoints must be integers (``3.0`` is accepted, ``1.5`` is not
+truncated): both engines and
+:func:`~repro.simulation.scenarios.validate_traffic` reject them with the
+same ``ValueError`` (:func:`validate_endpoints`).
 """
 
 from __future__ import annotations
@@ -85,7 +98,7 @@ import numpy as np
 from repro import kernels as _kernels
 from repro.graphs.digraph import BaseDigraph
 from repro.routing.paths import RoutingTable
-from repro.routing.routers import Router, resolve_router
+from repro.routing.routers import AUTO_DENSE_MAX_N, Router, resolve_router
 from repro.simulation.events import BatchEventQueue, Simulator
 
 __all__ = [
@@ -96,7 +109,40 @@ __all__ = [
     "NetworkSimulator",
     "BatchedNetworkSimulator",
     "SIMULATOR_ENGINES",
+    "DROP_REASONS",
+    "validate_endpoints",
 ]
+
+
+#: ``Message.drop_reason`` by drop code (the scenario loops record codes).
+DROP_REASONS = (None, "buffer", "fault", "hops")
+
+#: The per-replica scenario counters, in ``NetworkStats`` field order; a drop
+#: with code ``c`` counts in column ``c - 1``.
+_COUNTERS = (
+    "dropped_buffer",
+    "dropped_fault",
+    "dropped_hops",
+    "retransmits",
+    "rerouted_hops",
+)
+
+
+def validate_endpoints(ident: int, source, destination, num_nodes=None):
+    """One message's endpoints as ints, or the engines' shared ``ValueError``.
+
+    Integral floats (``3.0``) are accepted; anything else non-integral —
+    ``1.5``, NaN, infinities — is rejected rather than truncated, and with
+    ``num_nodes`` given the endpoints must lie in ``0 .. num_nodes - 1``.
+    """
+    if not (float(source).is_integer() and float(destination).is_integer()):
+        raise ValueError(f"message {ident} has non-integer endpoints")
+    source, destination = int(source), int(destination)
+    if num_nodes is not None and not (
+        0 <= source < num_nodes and 0 <= destination < num_nodes
+    ):
+        raise ValueError(f"message {ident} has endpoints out of range")
+    return source, destination
 
 
 @dataclass(frozen=True)
@@ -308,7 +354,7 @@ class _ScenarioState:
                     f"fault event targets {event.kind.split('_')[0]} "
                     f"{event.target}, out of range for this topology"
                 )
-        self._distance = None
+        self.distance = None
         self._neighbors: dict[int, list[int]] = {}
         if scenario.reroute == "arc-disjoint":
             from repro.routing.paths import routing_table_for
@@ -319,7 +365,7 @@ class _ScenarioState:
                     "arc-disjoint reroute needs the dense-table regime "
                     f"(n <= {AUTO_DENSE_MAX_N}, got n={n})"
                 )
-            self._distance = routing_table_for(graph).distance
+            self.distance = routing_table_for(graph).distance
             for u, v in self.links_between:
                 self._neighbors.setdefault(u, [])
                 if v not in self._neighbors[u]:
@@ -360,14 +406,14 @@ class _ScenarioState:
             return -1, False
         if self.usable(node, primary):
             return primary, False
-        if self._distance is None:  # reroute == "none"
+        if self.distance is None:  # reroute == "none"
             return -2, False
         best = -2
         best_distance = -1
         for neighbor in self._neighbors.get(node, ()):
             if neighbor == primary or not self.usable(node, neighbor):
                 continue
-            distance = int(self._distance[neighbor, destination])
+            distance = int(self.distance[neighbor, destination])
             if distance < 0:
                 continue
             if best == -2 or distance < best_distance:
@@ -508,8 +554,7 @@ class NetworkSimulator:
         n = self.graph.num_vertices
         messages: list[Message] = []
         for ident, (source, destination, time) in enumerate(traffic):
-            if not (0 <= source < n and 0 <= destination < n):
-                raise ValueError(f"message {ident} has endpoints out of range")
+            source, destination = validate_endpoints(ident, source, destination, n)
             time = float(time)
             if not (np.isfinite(time) and time >= 0):
                 raise ValueError(
@@ -688,6 +733,13 @@ class _LinkGroups:
         self.first_link = (
             self.flat_links[group_starts] if m else np.zeros(0, dtype=np.int64)
         )
+        # per-vertex range into the sorted keys (vertex u's groups are the
+        # keys in [u * n, (u + 1) * n)), so the kernels resolve a hop's
+        # group — or walk a vertex's out-neighbours in ascending order — by
+        # scanning at most out-degree entries
+        self.vertex_groups = np.searchsorted(
+            self.group_keys, np.arange(n + 1, dtype=np.int64) * n
+        ).astype(np.int64)
         # scalar-path lookup: (u * n + v) -> ascending list of link ids
         ptr = self.group_ptr.tolist()
         flat = self.flat_links.tolist()
@@ -699,6 +751,33 @@ class _LinkGroups:
     def group_of(self, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
         """Group index of each ``(tail, head)`` arc pair (which must exist)."""
         return np.searchsorted(self.group_keys, tails * self.num_vertices + heads)
+
+
+def _kernel_queue(capacity: int) -> tuple:
+    """Fresh kernel event-queue arrays for ``capacity`` event slots.
+
+    Layout documented in ``repro.kernels._pyimpl``: at most ``capacity``
+    live distinct times / buckets; the hash is a power of two
+    ``>= 2 * capacity``.
+    """
+    C = max(capacity, 1)
+    H = 2
+    while H < 2 * C:
+        H *= 2
+    fbits = np.zeros(1)
+    return (
+        np.empty(C),  # heap_time
+        np.empty(C, dtype=np.int64),  # heap_bid
+        np.empty(C, dtype=np.int64),  # bucket_head
+        np.empty(C, dtype=np.int64),  # bucket_tail
+        np.empty(C, dtype=np.int64),  # next_slot
+        np.arange(C, dtype=np.int64),  # free_bids
+        np.empty(H),  # hash_time
+        np.full(H, -1, dtype=np.int64),  # hash_state
+        np.array([0, C, 0, 0], dtype=np.int64),  # qstate
+        fbits,
+        fbits.view(np.uint64),  # ubits
+    )
 
 
 #: Batches at or below this size run the per-event scalar path; above it the
@@ -737,13 +816,22 @@ def _pool_traffics(traffics, n: int):
             raise ValueError(
                 "traffic must be a sequence of (source, destination, time) triples"
             )
-        src = arr[:, 0].astype(np.int64)
-        dst = arr[:, 1].astype(np.int64)
-        injected = arr[:, 2].astype(float)
-        bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+        ends = arr[:, :2]
+        fractional = ~(np.isfinite(ends) & (ends == np.trunc(ends))).all(axis=1)
+        bad = fractional | ((ends < 0) | (ends >= n)).any(axis=1)
         if bad.any():
             ident = int(np.flatnonzero(bad)[0])
-            raise ValueError(f"message {ident} has endpoints out of range")
+            # the first bad message's own complaint, as validate_endpoints
+            # raises it
+            problem = (
+                "non-integer endpoints"
+                if fractional[ident]
+                else "endpoints out of range"
+            )
+            raise ValueError(f"message {ident} has {problem}")
+        src = ends[:, 0].astype(np.int64)
+        dst = ends[:, 1].astype(np.int64)
+        injected = arr[:, 2].astype(float)
         bad_time = ~(np.isfinite(injected) & (injected >= 0))
         if bad_time.any():
             ident = int(np.flatnonzero(bad_time)[0])
@@ -780,10 +868,12 @@ class BatchedNetworkSimulator:
     the ``REPRO_KERNELS`` environment override, ``"numpy"`` pins the
     original vectorised path.  All backends are bit-identical; the resolved
     name is exposed as :attr:`kernel_backend`.  Under ``auto`` resolution
-    sparse workloads (fewer than 32 events per distinct creation time on
-    average) keep the numpy path — its scalar fast path beats the kernel's
-    per-round boundary crossing there; naming a backend explicitly always
-    runs it.
+    sparse healthy workloads (fewer than 32 events per distinct creation
+    time on average) keep the numpy path — its scalar fast path beats the
+    kernel's per-round boundary crossing there; naming a backend explicitly
+    always runs it.  Degrading scenarios take the ``scenario_run`` kernel
+    on any compiled backend (one call per run, so no such threshold) when
+    ``n <= AUTO_DENSE_MAX_N``, and report ``"numpy"`` past it.
     """
 
     def __init__(
@@ -808,9 +898,14 @@ class BatchedNetworkSimulator:
         self.routing = getattr(self.router, "table", None)
         self._groups = _LinkGroups(graph)
         resolved = _kernels.resolve_backend(kernels)
-        if scenario is not None and scenario.needs_event_exact():
-            # Degrading scenarios run the per-event scalar loop on every
-            # backend (see the module docstring) — report what actually runs.
+        if (
+            scenario is not None
+            and scenario.needs_event_exact()
+            and graph.num_vertices > AUTO_DENSE_MAX_N
+        ):
+            # The scenario kernel takes every vertex's next hop towards every
+            # destination up front (n x k entries): dense regime only.  Past
+            # it the interpreted loop runs — report what actually runs.
             resolved = "numpy"
         self.kernel_backend = resolved
         self._kernels = _kernels.get_kernels(self.kernel_backend)
@@ -867,7 +962,7 @@ class BatchedNetworkSimulator:
         exact only for a single workload).
 
         With a degrading ``scenario`` the pooled pass switches to the
-        scenario event loop (same pooling, scalar per-event kernel — see the
+        scenario event loop (same pooling, per-event semantics — see the
         module docstring's degraded-mode contract).
         """
         if self.scenario is not None and self.scenario.needs_event_exact():
@@ -1161,40 +1256,10 @@ class BatchedNetworkSimulator:
                 else:
                     np.maximum.at(max_queue, seg_links // m, seg_max)
 
-        # ---- per-replica statistics, computed exactly as the reference does
-        results: list[tuple[NetworkStats, list[Message] | None]] = []
-        for r in range(R):
-            lo, hi = int(offsets[r]), int(offsets[r + 1])
-            arrived = arrival[lo:hi]
-            delivered_mask = ~np.isnan(arrived)
-            num_delivered = int(delivered_mask.sum())
-            latencies = (arrived - created[lo:hi])[delivered_mask]
-            hop_counts = hops[lo:hi][delivered_mask].astype(float)
-            stats = NetworkStats(
-                delivered=num_delivered,
-                undelivered=(hi - lo) - num_delivered,
-                makespan=float(last_time[r]),
-                mean_latency=float(latencies.mean()) if latencies.size else 0.0,
-                max_latency=float(latencies.max()) if latencies.size else 0.0,
-                mean_hops=float(hop_counts.mean()) if hop_counts.size else 0.0,
-                max_link_queue=int(max_queue[r]),
-                total_link_busy_time=_sequential_sum(int(tx_count[r]), T),
-            )
-            messages: list[Message] | None = None
-            if return_messages:
-                messages = [
-                    Message(ident, source, destination, creation, arrived_at, hop)
-                    for ident, source, destination, creation, arrived_at, hop in zip(
-                        range(hi - lo),
-                        src[lo:hi].tolist(),
-                        dst[lo:hi].tolist(),
-                        created[lo:hi].tolist(),
-                        arrival[lo:hi].tolist(),
-                        hops[lo:hi].tolist(),
-                    )
-                ]
-            results.append((stats, messages))
-        return results
+        return _replica_results(
+            offsets, src, dst, created, arrival, hops, last_time, max_queue,
+            tx_count, T, return_messages,
+        )
 
     # -------------------------------------------------------- kernel rounds
     def _run_rounds_kernel(
@@ -1241,26 +1306,8 @@ class BatchedNetworkSimulator:
         router = self.router
         N = int(loc.shape[0])
 
-        # queue arrays (layout documented in repro.kernels._pyimpl): at most
-        # N live distinct times / buckets; hash sized power-of-two >= 2N.
         C = max(N, 1)
-        H = 2
-        while H < 2 * C:
-            H *= 2
-        fbits = np.zeros(1)
-        queue = (
-            np.empty(C),  # heap_time
-            np.empty(C, dtype=np.int64),  # heap_bid
-            np.empty(C, dtype=np.int64),  # bucket_head
-            np.empty(C, dtype=np.int64),  # bucket_tail
-            np.empty(C, dtype=np.int64),  # next_slot
-            np.arange(C, dtype=np.int64),  # free_bids
-            np.empty(H),  # hash_time
-            np.full(H, -1, dtype=np.int64),  # hash_state
-            np.array([0, C, 0, 0], dtype=np.int64),  # qstate
-            fbits,
-            fbits.view(np.uint64),  # ubits
-        )
+        queue = _kernel_queue(N)
         qstate = queue[8]
         heap_time = queue[0]
 
@@ -1274,18 +1321,12 @@ class BatchedNetworkSimulator:
         empty_next = np.zeros(0, dtype=np.int64)
         no_limit = 1 << 62
 
-        # per-vertex range into the sorted (u*n + v) group keys, so the
-        # kernel can resolve a hop's link group by scanning at most
-        # out-degree entries instead of binary-searching all groups
-        vertex_groups = np.searchsorted(
-            groups.group_keys // n, np.arange(n + 1)
-        ).astype(np.int64)
         driver = kern.make_round_driver(
             queue,
             (loc, dst, hops, arrival, prev_link, rep),
             (busy_until, queue_len, max_queue, tx_count, last_time),
             (groups.group_keys, groups.group_ptr, groups.flat_links,
-             vertex_groups, n, m),
+             groups.vertex_groups, n, m),
             (slots_buf, tails_buf, dests_buf,
              out_links, out_starts, out_movers, meta),
             T,
@@ -1335,13 +1376,14 @@ class BatchedNetworkSimulator:
         trace: list | None = None,
         return_messages: bool = True,
     ) -> list[tuple[NetworkStats, list[Message] | None]]:
-        """Pooled scenario runs: batched event selection, scalar semantics.
+        """Pooled scenario runs: replicated link arrays, per-event semantics.
 
-        Keeps the :class:`~repro.simulation.events.BatchEventQueue` batching
-        and the replicated link arrays of :meth:`run_many`, but resolves
-        each event with the per-event scalar kernel — the literal reference
-        algorithm, identical float ops — because finite buffers, fault
-        flips and reroute decisions are order-dependent within a batch.
+        Same pooling as :meth:`run_many`.  Finite buffers, fault flips and reroute decisions are
+        order-dependent within a batch, so every event is resolved with the
+        literal reference algorithm (identical float ops): in one
+        ``scenario_run`` kernel call on a compiled backend
+        (:meth:`_scenario_kernel`), else in the interpreted loop
+        (:meth:`_scenario_loop`, the ``REPRO_KERNELS=numpy`` reference).
         Fault events occupy the queue slots past the message range
         (``N .. N+F-1``) and are scheduled *first*, so at equal timestamps
         they outrank every message event, exactly like the reference heap's
@@ -1349,32 +1391,162 @@ class BatchedNetworkSimulator:
         replicas, which is what makes a stacked scenario run equal R solo
         runs of the same scenario.
         """
-        scenario = self.scenario
+        n = self.graph.num_vertices
+        m = self._groups.num_links
+        R = len(traffics)
+        state = _ScenarioState(self.graph, self.scenario, self.router)
+        src, dst, created, counts, offsets = _pool_traffics(traffics, n)
+        N = int(offsets[-1])
+        msg = (
+            src.copy(),  # loc
+            dst,
+            np.zeros(N, dtype=np.int64),  # hops
+            np.full(N, np.nan),  # arrival
+            np.full(N, -1, dtype=np.int64),  # prev_link (replicated ids)
+            np.repeat(np.arange(R, dtype=np.int64), counts),  # rep
+            np.zeros(N, dtype=np.int64),  # retries
+            np.zeros(N, dtype=np.int64),  # drop reason code
+        )
+        links = (
+            np.zeros(R),  # last_time
+            np.zeros(R * m),  # busy_until
+            np.zeros(R * m, dtype=np.int64),  # queue_len
+            np.zeros(R, dtype=np.int64),  # max_queue
+            np.zeros(R, dtype=np.int64),  # tx_count
+            np.zeros((R, len(_COUNTERS)), dtype=np.int64),  # counters
+        )
+        run = self._scenario_loop if self._kernels is None else self._scenario_kernel
+        run(state, created, msg, links, until=until, max_events=max_events, trace=trace)
+        _, _, hops, arrival, _, _, _, reason = msg
+        last_time, _, _, max_queue, tx_count, counters = links
+        return _replica_results(
+            offsets, src, dst, created, arrival, hops, last_time, max_queue,
+            tx_count, self.link.transmission_time, return_messages,
+            counters=counters, reason=reason,
+        )
+
+    def _scenario_kernel(self, state, created, msg, links, *, until, max_events, trace):
+        """The scenario event loop as one ``scenario_run`` kernel call.
+
+        Every vertex's primary next hop towards every distinct destination
+        of the pooled traffic comes from one ``router.next_hops`` call, so
+        the kernel works with any router and holds ``n x k`` hops (``k``
+        distinct destinations); arc-disjoint deflection reads the same
+        columns of the healthy distance table.  With ``trace`` the kernel
+        logs transmissions into a fixed buffer and returns whenever it
+        fills; each drained buffer becomes one trace triple.
+        """
+        # the kernel applies a fault by its kind's index in this tuple
+        from repro.simulation.scenarios import FAULT_KINDS
+
+        kern = self._kernels
+        groups = self._groups
+        n = self.graph.num_vertices
+        m = groups.num_links
+        link = self.link
+        loc, dst = msg[0], msg[1]
+        N = int(loc.shape[0])
+        events = state.fault_events
+        F = len(events)
+
+        queue = _kernel_queue(N + F)
+        # faults first: lower sequence at equal timestamps
+        kern.queue_schedule(
+            *queue,
+            np.arange(N, N + F, dtype=np.int64),
+            np.array([event.time for event in events], dtype=float),
+        )
+        kern.queue_schedule(
+            *queue, np.arange(N, dtype=np.int64), np.ascontiguousarray(created)
+        )
+
+        dests, dcol = np.unique(dst, return_inverse=True)
+        k = int(dests.shape[0])
+        primary = np.zeros((n, k), dtype=np.int64)
+        if k:
+            nxt = self.router.next_hops(
+                np.repeat(np.arange(n, dtype=np.int64), k), np.tile(dests, n)
+            )
+            primary[:] = np.asarray(nxt, dtype=np.int64).reshape(n, k)
+        reroute = state.distance is not None
+        distance = np.zeros((n, 0), dtype=np.int64)
+        if reroute:
+            distance = np.ascontiguousarray(state.distance[:, dests], dtype=np.int64)
+
+        capacity = getattr(link, "capacity", None)
+        ttl = self.scenario.effective_max_hops(n)
+        C = max(N + F, 1)
+        log_cap = C if trace is not None else -1
+        log = (
+            np.empty(C, dtype=np.int64),
+            np.empty(C),
+            np.empty(C, dtype=np.int64),
+        )
+        kstate = np.zeros(4, dtype=np.int64)
+        args = (
+            *queue,
+            loc,
+            dst,
+            dcol.astype(np.int64),
+            *msg[2:],  # hops .. reason
+            *links,
+            groups.group_keys,
+            groups.group_ptr,
+            groups.flat_links,
+            groups.vertex_groups,
+            n,
+            m,
+            primary,
+            distance,
+            np.array([FAULT_KINDS.index(e.kind) for e in events], dtype=np.int64),
+            np.array([e.target for e in events], dtype=np.int64),
+            np.zeros(m, dtype=np.uint8),  # link_down
+            np.zeros(n, dtype=np.uint8),  # node_down
+            float(link.transmission_time),
+            float(link.latency),
+            -1 if capacity is None else int(capacity),
+            int(getattr(link, "on_full", "drop") == "retry"),
+            float(getattr(link, "retry_delay", 1.0)),
+            int(getattr(link, "max_retries", 0)),
+            -1 if ttl is None else int(ttl),
+            int(reroute),
+            float("inf") if until is None else float(until),
+            (1 << 62) if max_events is None else int(max_events),
+            np.empty(C, dtype=np.int64),  # batch
+            kstate,
+            np.zeros(1),  # tnow
+            *log,
+            log_cap,
+        )
+        while True:
+            full = kern.scenario_run(*args)
+            logged = int(kstate[3])
+            if trace is not None and logged:
+                trace.append(tuple(part[:logged].copy() for part in log))
+                kstate[3] = 0
+            if not full:
+                break
+
+    def _scenario_loop(self, state, created, msg, links, *, until, max_events, trace):
+        """The interpreted scenario event loop (the numpy-backend reference).
+
+        :class:`~repro.simulation.events.BatchEventQueue` batching, then
+        the per-event scalar algorithm — what ``scenario_run`` compiles.
+        """
         link = self.link
         capacity = getattr(link, "capacity", None)
         on_full = getattr(link, "on_full", "drop")
         retry_delay = getattr(link, "retry_delay", 1.0)
         max_retries = getattr(link, "max_retries", 0)
-        groups = self._groups
-        n = self.graph.num_vertices
-        m = groups.num_links
+        m = self._groups.num_links
         T = link.transmission_time
         L = link.latency
-        R = len(traffics)
-        ttl = scenario.effective_max_hops(n)
-        state = _ScenarioState(self.graph, scenario, self.router)
+        ttl = self.scenario.effective_max_hops(self.graph.num_vertices)
         links_between = state.links_between
-
-        src, dst, created, counts, offsets = _pool_traffics(traffics, n)
-        N = int(offsets[-1])
-        rep = np.repeat(np.arange(R, dtype=np.int64), counts)
-
-        loc = src.copy()
-        hops = np.zeros(N, dtype=np.int64)
-        arrival = np.full(N, np.nan)
-        prev_link = np.full(N, -1, dtype=np.int64)  # global (replicated) ids
-        retries = np.zeros(N, dtype=np.int64)
-        drop_reason: list[str | None] = [None] * N
+        loc, dst, hops, arrival, prev_link, rep, retries, reason = msg
+        last_time, busy_until, queue_len, max_queue, tx_count, counters = links
+        R = last_time.shape[0]
+        N = int(loc.shape[0])
 
         fault_times = np.array(
             [event.time for event in state.fault_events], dtype=float
@@ -1384,17 +1556,6 @@ class BatchedNetworkSimulator:
         if F:  # faults first: lower sequence at equal timestamps
             queue.schedule(np.arange(N, N + F, dtype=np.int64), fault_times)
         queue.schedule(np.arange(N, dtype=np.int64), created)
-
-        busy_until = np.zeros(R * m)
-        queue_len = np.zeros(R * m, dtype=np.int64)
-        max_queue = np.zeros(R, dtype=np.int64)
-        tx_count = np.zeros(R, dtype=np.int64)
-        last_time = np.zeros(R)
-        dropped_buffer = np.zeros(R, dtype=np.int64)
-        dropped_fault = np.zeros(R, dtype=np.int64)
-        dropped_hops = np.zeros(R, dtype=np.int64)
-        retransmits = np.zeros(R, dtype=np.int64)
-        rerouted_hops = np.zeros(R, dtype=np.int64)
         processed = 0
 
         while len(queue):
@@ -1423,22 +1584,22 @@ class BatchedNetworkSimulator:
                 node = int(loc[i])
                 target = int(dst[i])
                 if state.node_down[node]:
-                    drop_reason[i] = "fault"
-                    dropped_fault[r] += 1
+                    reason[i] = 2  # fault
+                    counters[r, 1] += 1
                     continue
                 if node == target:
                     arrival[i] = t
                     continue
                 if ttl is not None and hops[i] >= ttl:
-                    drop_reason[i] = "hops"
-                    dropped_hops[r] += 1
+                    reason[i] = 3  # hops
+                    counters[r, 2] += 1
                     continue
                 next_node, rerouted = state.choose(node, target)
                 if next_node == -1:
                     continue  # unreachable in the healthy topology
                 if next_node == -2:
-                    drop_reason[i] = "fault"
-                    dropped_fault[r] += 1
+                    reason[i] = 2  # fault
+                    counters[r, 1] += 1
                     continue
                 base = r * m
                 live = [
@@ -1451,11 +1612,11 @@ class BatchedNetworkSimulator:
                 if not live:
                     if on_full == "retry" and retries[i] < max_retries:
                         retries[i] += 1
-                        retransmits[r] += 1
+                        counters[r, 3] += 1  # retransmits
                         queue.schedule_one(i, t + retry_delay)
                     else:
-                        drop_reason[i] = "buffer"
-                        dropped_buffer[r] += 1
+                        reason[i] = 1  # buffer
+                        counters[r, 0] += 1
                     continue
                 if len(live) == 1:
                     link_id = live[0]
@@ -1472,7 +1633,7 @@ class BatchedNetworkSimulator:
                     max_queue[r] = depth
                 tx_count[r] += 1
                 if rerouted:
-                    rerouted_hops[r] += 1
+                    counters[r, 4] += 1  # rerouted hops
                 prev_link[i] = link_id
                 loc[i] = next_node
                 queue.schedule_one(i, finish + L)
@@ -1485,46 +1646,72 @@ class BatchedNetworkSimulator:
                         )
                     )
 
-        # ---- per-replica statistics, exactly as the reference computes them
-        results: list[tuple[NetworkStats, list[Message] | None]] = []
-        for r in range(R):
-            lo, hi = int(offsets[r]), int(offsets[r + 1])
-            arrived = arrival[lo:hi]
-            delivered_mask = ~np.isnan(arrived)
-            num_delivered = int(delivered_mask.sum())
-            latencies = (arrived - created[lo:hi])[delivered_mask]
-            hop_counts = hops[lo:hi][delivered_mask].astype(float)
-            stats = NetworkStats(
-                delivered=num_delivered,
-                undelivered=(hi - lo) - num_delivered,
-                makespan=float(last_time[r]),
-                mean_latency=float(latencies.mean()) if latencies.size else 0.0,
-                max_latency=float(latencies.max()) if latencies.size else 0.0,
-                mean_hops=float(hop_counts.mean()) if hop_counts.size else 0.0,
-                max_link_queue=int(max_queue[r]),
-                total_link_busy_time=_sequential_sum(int(tx_count[r]), T),
-                dropped_buffer=int(dropped_buffer[r]),
-                dropped_fault=int(dropped_fault[r]),
-                dropped_hops=int(dropped_hops[r]),
-                retransmits=int(retransmits[r]),
-                rerouted_hops=int(rerouted_hops[r]),
+
+def _replica_results(
+    offsets,
+    src,
+    dst,
+    created,
+    arrival,
+    hops,
+    last_time,
+    max_queue,
+    tx_count,
+    T,
+    return_messages,
+    *,
+    counters=None,
+    reason=None,
+) -> list[tuple[NetworkStats, list[Message] | None]]:
+    """Per-replica statistics and records, computed exactly as the reference.
+
+    ``counters`` (``(R, 5)``, :data:`_COUNTERS` order) and ``reason`` (drop
+    codes, :data:`DROP_REASONS`) come from scenario runs; without them the
+    scenario fields keep their zero / ``None`` defaults.
+    """
+    results: list[tuple[NetworkStats, list[Message] | None]] = []
+    for r in range(len(offsets) - 1):
+        lo, hi = int(offsets[r]), int(offsets[r + 1])
+        arrived = arrival[lo:hi]
+        delivered_mask = ~np.isnan(arrived)
+        num_delivered = int(delivered_mask.sum())
+        latencies = (arrived - created[lo:hi])[delivered_mask]
+        hop_counts = hops[lo:hi][delivered_mask].astype(float)
+        extra = {}
+        if counters is not None:
+            extra = dict(zip(_COUNTERS, counters[r].tolist()))
+        stats = NetworkStats(
+            delivered=num_delivered,
+            undelivered=(hi - lo) - num_delivered,
+            makespan=float(last_time[r]),
+            mean_latency=float(latencies.mean()) if latencies.size else 0.0,
+            max_latency=float(latencies.max()) if latencies.size else 0.0,
+            mean_hops=float(hop_counts.mean()) if hop_counts.size else 0.0,
+            max_link_queue=int(max_queue[r]),
+            total_link_busy_time=_sequential_sum(int(tx_count[r]), T),
+            **extra,
+        )
+        messages: list[Message] | None = None
+        if return_messages:
+            whys = (
+                [DROP_REASONS[code] for code in reason[lo:hi].tolist()]
+                if reason is not None
+                else [None] * (hi - lo)
             )
-            messages: list[Message] | None = None
-            if return_messages:
-                messages = [
-                    Message(ident, source, destination, creation, arrived_at, hop, why)
-                    for ident, source, destination, creation, arrived_at, hop, why in zip(
-                        range(hi - lo),
-                        src[lo:hi].tolist(),
-                        dst[lo:hi].tolist(),
-                        created[lo:hi].tolist(),
-                        arrival[lo:hi].tolist(),
-                        hops[lo:hi].tolist(),
-                        drop_reason[lo:hi],
-                    )
-                ]
-            results.append((stats, messages))
-        return results
+            messages = [
+                Message(ident, source, destination, creation, arrived_at, hop, why)
+                for ident, source, destination, creation, arrived_at, hop, why in zip(
+                    range(hi - lo),
+                    src[lo:hi].tolist(),
+                    dst[lo:hi].tolist(),
+                    created[lo:hi].tolist(),
+                    arrival[lo:hi].tolist(),
+                    hops[lo:hi].tolist(),
+                    whys,
+                )
+            ]
+        results.append((stats, messages))
+    return results
 
 
 #: Engine registry: name -> simulator class (used by protocols, the sweep

@@ -59,6 +59,7 @@ from repro.simulation.network import (
     BufferedLinkModel,
     LinkModel,
     NetworkStats,
+    validate_endpoints,
 )
 from repro.simulation.workloads import (
     Traffic,
@@ -97,8 +98,10 @@ def _as_rng(rng) -> np.random.Generator:
 def validate_traffic(traffic, num_nodes: int | None = None) -> Traffic:
     """Fail fast on malformed traffic; returns the triples as a clean list.
 
-    Rejects NaN/negative/infinite release times and (when ``num_nodes`` is
-    given) out-of-range endpoints — at construction time, mirroring the
+    Rejects NaN/negative/infinite release times, non-integer endpoints
+    (``validate_endpoints``: ``3.0`` passes, ``1.5`` is never truncated)
+    and, when ``num_nodes`` is given, out-of-range endpoints — at
+    construction time, mirroring the
     :meth:`repro.simulation.network.LinkModel.from_hardware` validation of
     message sizes, instead of deep inside an engine run.  (Message *sizes*
     live in the link model: ``transmission_time`` is the size in time
@@ -119,11 +122,9 @@ def validate_traffic(traffic, num_nodes: int | None = None) -> Traffic:
                 f"message {ident} has invalid release time {release!r} "
                 "(must be finite and non-negative)"
             )
-        source, destination = int(source), int(destination)
-        if num_nodes is not None and not (
-            0 <= source < num_nodes and 0 <= destination < num_nodes
-        ):
-            raise ValueError(f"message {ident} has endpoints out of range")
+        source, destination = validate_endpoints(
+            ident, source, destination, num_nodes
+        )
         checked.append((source, destination, release))
     return checked
 
@@ -678,10 +679,13 @@ class ScenarioSweep:
     scenario: Scenario
     points: list[ScenarioPoint]
     wall_time_s: float
-    #: The kernel backend the batched engine ran on (``"numpy"`` for the
-    #: vectorised path, for the reference event engine, and always for
-    #: degrading scenarios — those run the per-event scalar loop on every
-    #: backend).  Recorded so ``wall_time_s`` is attributable to a backend.
+    #: The kernel backend the batched engine ran on: ``"numpy"`` for the
+    #: interpreted paths and the reference event engine, else the compiled
+    #: backend — which runs degrading scenarios in the ``scenario_run``
+    #: kernel whenever the topology is in the dense regime
+    #: (``n <= AUTO_DENSE_MAX_N``; past it they run interpreted and report
+    #: ``"numpy"``).  Recorded so ``wall_time_s`` is attributable to a
+    #: backend.
     kernel_backend: str = "numpy"
 
     def curves(self) -> list[dict]:

@@ -18,9 +18,16 @@ equal.  This suite is the proof obligation:
 * the simulator kernels are compared against the numpy vector path on
   randomised workloads over parallel-arc topologies, zero-``T`` /
   zero-``L`` link timings (same-instant event cascades), truncated runs
-  (``until`` / ``max_events``), multi-replica ``run_many`` pools, empty
-  traffics, and scenario edge cases (fault at ``t=0``, ``capacity=0``) —
-  checking stats, per-message records and the flattened transmission trace;
+  (``until`` / ``max_events``), multi-replica ``run_many`` pools and empty
+  traffics — checking stats, per-message records and the flattened
+  transmission trace;
+* the ``scenario_run`` kernel is compared the same way against the
+  interpreted scenario loop on every composition of
+  ``tests/scenario_cases.py``, pooled replicas, truncation, same-instant
+  retry cascades, ``capacity=0``, healing faults, deflection ties and
+  hypothesis-generated scenarios (each case also proves the kernel ran),
+  and on both ``perfbench`` ``sim-faults`` configurations against the
+  event engine;
 * the kernel-side event queue is driven directly against
   :class:`repro.simulation.events.BatchEventQueue` on adversarial time
   sequences (duplicates, ``-0.0`` vs ``+0.0``, limit truncation).
@@ -35,6 +42,7 @@ the loop: reference engine == numpy path == every kernel backend.
 """
 
 import contextlib
+import functools
 import itertools
 import math
 
@@ -46,6 +54,7 @@ from hypothesis import strategies as st
 from repro import kernels
 from repro.graphs.apsp import batched_eccentricities, subset_distance_rows
 from repro.graphs.digraph import Digraph, RegularDigraph
+from repro.graphs.generators import de_bruijn
 from repro.graphs.traversal import (
     bfs_distances_regular,
     reverse_bfs_distances_regular,
@@ -53,13 +62,23 @@ from repro.graphs.traversal import (
 from repro.kernels._pyimpl import PY_KERNELS
 from repro.otis import search
 from repro.otis.h_digraph import h_digraph, h_digraph_splits
+from repro.routing.routers import AUTO_DENSE_MAX_N
 from repro.simulation.network import (
     BatchedNetworkSimulator,
     BufferedLinkModel,
     LinkModel,
+    NetworkSimulator,
 )
-from repro.simulation.scenarios import FaultPlan, Scenario, UniformArrivals
+from repro.simulation.scenarios import (
+    FaultEvent,
+    FaultPlan,
+    HotspotArrivals,
+    Scenario,
+    UniformArrivals,
+)
 from repro.simulation.workloads import uniform_random_pairs
+from scenario_cases import GRAPH as SCENARIO_GRAPH
+from scenario_cases import SCENARIOS, scenario_strategy
 
 #: Compiled backends usable here, plus the interpreted reference build.
 BACKENDS = [b for b in kernels.available_backends() if b != "numpy"] + ["pyimpl"]
@@ -493,31 +512,58 @@ def test_sim_parity_randomised(data):
 # ------------------------------------------------------------------ scenarios
 
 
-def test_scenario_fault_at_t0_runs_reference_loop(backend):
-    # A degrading scenario (fault at t=0) runs the per-event scalar loop on
-    # every backend: the kernel seam must step aside, report "numpy", and
-    # produce identical results trivially.
+def spy_scenario_runs(monkeypatch, back):
+    """Count ``scenario_run`` calls on ``back``'s kernel namespace."""
+    namespace = kernel_namespace(back)
+    real = namespace.scenario_run
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(namespace, "scenario_run", spy)
+    return calls
+
+
+def assert_scenario_kernel_parity(monkeypatch, graph, traffics, back, scenario, **kw):
+    """``assert_sim_parity`` for a degrading scenario, plus proof the kernel ran."""
+    calls = spy_scenario_runs(monkeypatch, back)
+    assert simulator(graph, back, scenario=scenario).kernel_backend == back
+    ref = assert_sim_parity(graph, traffics, back, scenario=scenario, **kw)
+    assert calls, "the scenario kernel never ran"
+    return ref
+
+
+def test_scenario_fault_at_t0_runs_the_kernel(backend, monkeypatch):
+    # A degrading scenario (fault at t=0) runs the scenario kernel on every
+    # compiled backend: kernel_backend names it, and results match the
+    # interpreted scenario loop.
     graph = h_digraph(4, 8, 2)
     scenario = Scenario(
         arrivals=UniformArrivals(30),
         faults=FaultPlan.random_link_failures(graph, 5, at=0.0, seed=2),
     )
     sim = simulator(graph, backend, scenario=scenario)
-    assert sim.kernel_backend == "numpy"
+    assert sim.kernel_backend == backend
+    calls = spy_scenario_runs(monkeypatch, backend)
     traffic = scenario.traffic(graph.num_vertices, rng=0)
     assert_sim_parity(graph, [traffic], backend, scenario=scenario)
+    assert calls, "the scenario kernel never ran"
 
 
-def test_scenario_capacity_zero_runs_reference_loop(backend):
+def test_scenario_capacity_zero_runs_the_kernel(backend, monkeypatch):
     graph = h_digraph(1, 4, 2)
     scenario = Scenario(
         arrivals=UniformArrivals(20),
         link=BufferedLinkModel(capacity=0),
     )
     sim = simulator(graph, backend, scenario=scenario)
-    assert sim.kernel_backend == "numpy"
+    assert sim.kernel_backend == backend
+    calls = spy_scenario_runs(monkeypatch, backend)
     traffic = scenario.traffic(graph.num_vertices, rng=1)
     assert_sim_parity(graph, [traffic], backend, scenario=scenario)
+    assert calls, "the scenario kernel never ran"
 
 
 def test_scenario_arrival_only_uses_kernels(backend):
@@ -529,6 +575,231 @@ def test_scenario_arrival_only_uses_kernels(backend):
     assert sim.kernel_backend == backend
     traffic = scenario.traffic(graph.num_vertices, rng=4)
     assert_sim_parity(graph, [traffic], backend, scenario=scenario)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_kernel_cases(backend, monkeypatch, name):
+    scenario = SCENARIOS[name]
+    for seed in range(2):
+        traffic = scenario.traffic(SCENARIO_GRAPH.num_vertices, rng=seed)
+        assert_scenario_kernel_parity(
+            monkeypatch, SCENARIO_GRAPH, [traffic], backend, scenario
+        )
+
+
+def test_scenario_kernel_pooled_replicas(backend, monkeypatch):
+    # R=3 pooled with shared faults; an empty replica in the middle.
+    scenario = SCENARIOS["bursty-kitchen-sink"]
+    n = SCENARIO_GRAPH.num_vertices
+    traffics = [scenario.traffic(n, rng=0), [], scenario.traffic(n, rng=1)]
+    assert_scenario_kernel_parity(
+        monkeypatch, SCENARIO_GRAPH, traffics, backend, scenario
+    )
+    traffics = [scenario.traffic(n, rng=seed) for seed in range(3)]
+    assert_scenario_kernel_parity(
+        monkeypatch, SCENARIO_GRAPH, traffics, backend, scenario
+    )
+    # nothing but fault events in the queue
+    assert_scenario_kernel_parity(monkeypatch, SCENARIO_GRAPH, [[]], backend, scenario)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"until": 1.5},
+        {"until": 0.0},
+        {"max_events": 0},
+        {"max_events": 7},
+        {"max_events": 23},
+        {"until": 4.0, "max_events": 61},
+    ],
+    ids=["until", "until0", "ev0", "ev7", "ev23", "both"],
+)
+def test_scenario_kernel_truncation(backend, monkeypatch, kw):
+    scenario = SCENARIOS["bursty-kitchen-sink"]
+    n = SCENARIO_GRAPH.num_vertices
+    traffics = [scenario.traffic(n, rng=5), scenario.traffic(n, rng=6)]
+    assert_scenario_kernel_parity(
+        monkeypatch, SCENARIO_GRAPH, traffics, backend, scenario, **kw
+    )
+
+
+def test_scenario_kernel_same_instant_retry_cascades(backend, monkeypatch):
+    # T=L=0: every hop lands back in the queue at the same instant, into a
+    # fresh bucket behind the batch being resolved; capacity-1 buffers make
+    # same-instant messages collide and retry, -0.0 and +0.0 share a time,
+    # and a fault at t=0 outranks the injections.
+    graph = h_digraph(1, 4, 2)
+    n = graph.num_vertices
+    scenario = Scenario(
+        link=BufferedLinkModel(
+            latency=0.0,
+            transmission_time=0.0,
+            capacity=1,
+            on_full="retry",
+            retry_delay=0.5,
+            max_retries=3,
+        ),
+        faults=FaultPlan((FaultEvent(0.0, "link_down", 1),)),
+        reroute="arc-disjoint",
+    )
+    traffic = [
+        (i % n, (i * 3 + 1) % n, -0.0 if i % 2 else 0.0) for i in range(20)
+    ]
+    for kw in ({}, {"max_events": 9}, {"until": 0.0}):
+        assert_scenario_kernel_parity(
+            monkeypatch, graph, [traffic], backend, scenario, **kw
+        )
+
+
+def test_scenario_kernel_capacity_zero_retries(backend, monkeypatch):
+    scenario = Scenario(
+        arrivals=UniformArrivals(30, rate=3.0),
+        link=BufferedLinkModel(
+            capacity=0, on_full="retry", retry_delay=1.0, max_retries=2
+        ),
+    )
+    traffic = scenario.traffic(SCENARIO_GRAPH.num_vertices, rng=3)
+    (stats, _), = assert_scenario_kernel_parity(
+        monkeypatch, SCENARIO_GRAPH, [traffic], backend, scenario
+    )
+    assert stats.dropped_buffer == 30 and stats.retransmits == 60
+
+
+def test_scenario_kernel_faults_that_heal(backend, monkeypatch):
+    # Links and a node go down and come back; messages rerouted around the
+    # outage, dropped at the down node, and sent on the healed primaries.
+    graph = de_bruijn(2, 4)
+    faults = FaultPlan(
+        FaultPlan.random_link_failures(graph, 6, at=2.0, heal_after=5.0, seed=1).events
+        + FaultPlan.node_outage(5, at=1.0, heal_at=8.0).events
+    )
+    for reroute in ("none", "arc-disjoint"):
+        scenario = Scenario(
+            arrivals=UniformArrivals(60, rate=1.5), faults=faults, reroute=reroute
+        )
+        traffics = [scenario.traffic(graph.num_vertices, rng=s) for s in range(2)]
+        results = assert_scenario_kernel_parity(
+            monkeypatch, graph, traffics, backend, scenario
+        )
+        assert sum(stats.dropped_fault for stats, _ in results) > 0
+
+
+def test_scenario_kernel_resumes_when_its_trace_log_fills(backend, monkeypatch):
+    # The log holds N + F transmissions; multi-hop routes make more, so a
+    # traced run returns from the kernel and resumes mid-batch.
+    graph = de_bruijn(2, 4)
+    scenario = Scenario(
+        arrivals=UniformArrivals(40, rate=4.0),
+        faults=FaultPlan.random_link_failures(graph, 4, at=1.0, seed=2),
+        reroute="arc-disjoint",
+    )
+    calls = spy_scenario_runs(monkeypatch, backend)
+    traffic = scenario.traffic(graph.num_vertices, rng=0)
+    assert_sim_parity(graph, [traffic], backend, scenario=scenario)
+    assert len(calls) > 1
+
+
+def test_scenario_kernel_deflection_ties(backend, monkeypatch):
+    # Out-degree 3: a severed primary leaves two candidate detours, often
+    # at equal healthy distance — the lower neighbour id must win.
+    graph = de_bruijn(3, 3)
+    scenario = Scenario(
+        arrivals=UniformArrivals(80, rate=3.0),
+        faults=FaultPlan.random_link_failures(
+            graph, 20, at=1.0, heal_after=6.0, seed=4
+        ),
+        reroute="arc-disjoint",
+    )
+    traffics = [scenario.traffic(graph.num_vertices, rng=s) for s in range(2)]
+    results = assert_scenario_kernel_parity(
+        monkeypatch, graph, traffics, backend, scenario
+    )
+    assert all(stats.rerouted_hops > 0 for stats, _ in results)
+
+
+#: The two ``perfbench`` ``sim-faults`` configurations, at full size.
+PERFBENCH_GRAPHS = {
+    "fault_reroute": de_bruijn(2, 6),
+    "hotspot_buffered": h_digraph(16, 32, 2),
+}
+PERFBENCH_SCENARIOS = {
+    "fault_reroute": Scenario(
+        arrivals=UniformArrivals(2000),
+        faults=FaultPlan.random_link_failures(
+            PERFBENCH_GRAPHS["fault_reroute"], 8, at=20.0, seed=11
+        ),
+        reroute="arc-disjoint",
+    ),
+    "hotspot_buffered": Scenario(
+        arrivals=HotspotArrivals(
+            2000,
+            hotspot=PERFBENCH_GRAPHS["hotspot_buffered"].num_vertices // 2,
+            hotspot_fraction=0.5,
+        ),
+        link=BufferedLinkModel(capacity=4, on_full="retry"),
+    ),
+}
+PERFBENCH_RATES = (None, 1.0, 4.0)
+
+
+@functools.lru_cache(maxsize=None)
+def event_engine_reference(config, rate):
+    """The event engine's run of one perfbench configuration at one rate."""
+    graph, scenario = PERFBENCH_GRAPHS[config], PERFBENCH_SCENARIOS[config]
+    traffic = scenario.with_rate(rate).traffic(graph.num_vertices, rng=0)
+    return traffic, NetworkSimulator(graph, scenario=scenario).run(traffic)
+
+
+@pytest.mark.parametrize("config", sorted(PERFBENCH_SCENARIOS))
+def test_scenario_kernel_perfbench_configs_match_event_engine(backend, monkeypatch, config):
+    # Pooled over the benchmark's three rates on compiled backends; the
+    # interpreted build takes the saturated rate alone (seconds per rate).
+    graph, scenario = PERFBENCH_GRAPHS[config], PERFBENCH_SCENARIOS[config]
+    rates = PERFBENCH_RATES[:1] if backend == "pyimpl" else PERFBENCH_RATES
+    refs = [event_engine_reference(config, rate) for rate in rates]
+    calls = spy_scenario_runs(monkeypatch, backend)
+    got = simulator(graph, backend, scenario=scenario).run_many(
+        [traffic for traffic, _ in refs]
+    )
+    assert calls, "the scenario kernel never ran"
+    for (got_stats, got_msgs), (_, (ref_stats, ref_msgs)) in zip(got, refs):
+        assert got_stats == ref_stats
+        assert_messages_equal(got_msgs, ref_msgs)  # drop_reason included
+    # the layers under test actually bite
+    stats = refs[0][1][0]
+    if config == "fault_reroute":
+        assert stats.rerouted_hops > 0 and stats.dropped_hops > 0
+    else:
+        assert stats.retransmits > 0 and stats.dropped_buffer > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenario=scenario_strategy(), seed=st.integers(0, 2**16))
+def test_scenario_kernel_randomised(scenario, seed):
+    traffic = scenario.traffic(SCENARIO_GRAPH.num_vertices, rng=seed)
+    for back in BACKENDS:
+        if back == "pyimpl":
+            continue  # exercised by the deterministic cases above
+        assert simulator(SCENARIO_GRAPH, back, scenario=scenario).kernel_backend == back
+        assert_sim_parity(SCENARIO_GRAPH, [traffic], back, scenario=scenario)
+
+
+def test_scenario_beyond_the_dense_regime_runs_numpy(backend):
+    # The kernel needs every vertex's next hop to every destination up
+    # front: past AUTO_DENSE_MAX_N vertices the interpreted loop runs, and
+    # kernel_backend says so.
+    graph = de_bruijn(2, 12)
+    assert graph.num_vertices > AUTO_DENSE_MAX_N
+    scenario = Scenario(
+        arrivals=UniformArrivals(40, rate=2.0),
+        faults=FaultPlan.random_link_failures(graph, 64, at=1.0, seed=3),
+    )
+    sim = simulator(graph, backend, scenario=scenario)
+    assert sim.kernel_backend == "numpy"
+    traffic = scenario.traffic(graph.num_vertices, rng=0)
+    stats, _ = sim.run(traffic)
+    assert stats == NetworkSimulator(graph, scenario=scenario).run(traffic)[0]
 
 
 # ------------------------------------------------------- event queue, direct

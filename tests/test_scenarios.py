@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs.generators import de_bruijn
-from repro.otis.h_digraph import h_digraph
 from repro.simulation.network import (
     BatchedNetworkSimulator,
     BufferedLinkModel,
@@ -28,20 +27,16 @@ from repro.simulation.network import (
 )
 from repro.simulation.scenarios import (
     ARRIVAL_KINDS,
-    BurstyArrivals,
-    DiurnalArrivals,
     FaultEvent,
     FaultPlan,
-    HotspotArrivals,
-    PermutationArrivals,
     Scenario,
     UniformArrivals,
     make_arrivals,
     run_scenario_sweep,
     validate_traffic,
 )
+from scenario_cases import GRAPH, SCENARIOS, scenario_strategy
 
-GRAPH = h_digraph(2, 8, 4)  # 4 nodes, 16 links, parallel arcs
 BIG = de_bruijn(2, 4)  # 16 nodes, no parallel arcs
 
 
@@ -82,6 +77,33 @@ class TestValidation:
     def test_validate_traffic_rejects_out_of_range_endpoints(self):
         with pytest.raises(ValueError, match="out of range"):
             validate_traffic([(0, 9, 0.0)], num_nodes=4)
+
+    @pytest.mark.parametrize(
+        "message",
+        [(1.5, 6, 0.0), (0, 2.5, 1.0), (float("nan"), 1, 0.0), (1, float("inf"), 0.0)],
+        ids=["source", "destination", "nan", "inf"],
+    )
+    @pytest.mark.parametrize("check", ["validate", "event", "batched"])
+    def test_non_integer_endpoints_rejected_alike(self, check, message):
+        # Truncating (1.5, 6) to source 1 would silently deliver a message
+        # nobody sent; all three entry points refuse it the same way.
+        traffic = [(0, 1, 0.0), message]
+        with pytest.raises(ValueError, match="^message 1 has non-integer endpoints$"):
+            if check == "validate":
+                validate_traffic(traffic, BIG.num_vertices)
+            elif check == "event":
+                NetworkSimulator(BIG).run(traffic)
+            else:
+                BatchedNetworkSimulator(BIG).run(traffic)
+
+    def test_integral_float_endpoints_are_accepted(self):
+        as_floats = [(3.0, 6.0, 0.0), (6.0, 3.0, 0.5)]
+        as_ints = [(3, 6, 0.0), (6, 3, 0.5)]
+        assert validate_traffic(as_floats, BIG.num_vertices) == as_ints
+        for engine in (NetworkSimulator, BatchedNetworkSimulator):
+            stats, messages = engine(BIG).run(as_floats)
+            assert (stats, messages) == engine(BIG).run(as_ints)
+            assert stats.delivered == 2
 
     def test_validate_traffic_rejects_non_triples(self):
         with pytest.raises(ValueError, match="triple"):
@@ -243,50 +265,6 @@ def test_default_scenario_equals_plain_link_run():
 # ---------------------------------------------------------------------------
 # Parity across the scenario-layer combinations
 # ---------------------------------------------------------------------------
-SCENARIOS = {
-    "buffer-drop": Scenario(
-        arrivals=HotspotArrivals(80, hotspot=3, hotspot_fraction=0.8, rate=5.0),
-        link=BufferedLinkModel(capacity=1, on_full="drop"),
-    ),
-    "buffer-retry": Scenario(
-        arrivals=HotspotArrivals(80, hotspot=3, hotspot_fraction=0.8, rate=5.0),
-        link=BufferedLinkModel(
-            capacity=1, on_full="retry", retry_delay=0.5, max_retries=4
-        ),
-    ),
-    "fault-drop": Scenario(
-        arrivals=UniformArrivals(80, rate=2.0),
-        faults=FaultPlan.random_link_failures(GRAPH, 6, at=3.0, seed=7),
-    ),
-    "fault-reroute": Scenario(
-        arrivals=UniformArrivals(80, rate=2.0),
-        faults=FaultPlan.random_link_failures(GRAPH, 6, at=3.0, seed=7),
-        reroute="arc-disjoint",
-    ),
-    "fault-heal": Scenario(
-        arrivals=UniformArrivals(60, rate=1.0),
-        faults=FaultPlan.random_link_failures(
-            GRAPH, 8, at=2.0, heal_after=6.0, seed=1
-        ),
-        reroute="arc-disjoint",
-    ),
-    "bursty-kitchen-sink": Scenario(
-        arrivals=BurstyArrivals(60, burst_size=6, burst_rate=6.0, gap=2.0),
-        link=BufferedLinkModel(capacity=2, on_full="retry"),
-        faults=FaultPlan.random_link_failures(GRAPH, 4, at=1.0, seed=2),
-        reroute="arc-disjoint",
-    ),
-    "diurnal-ttl": Scenario(
-        arrivals=DiurnalArrivals(60, peak_rate=3.0, trough_rate=0.3, period=10.0),
-        max_hops=3,
-    ),
-    "permutation-buffers": Scenario(
-        arrivals=PermutationArrivals(rate=2.0),
-        link=BufferedLinkModel(capacity=1, on_full="drop"),
-    ),
-}
-
-
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_parity(name, seed):
@@ -412,59 +390,8 @@ def test_run_many_scenario_matches_solo():
 # ---------------------------------------------------------------------------
 # Hypothesis: parity over random scenario compositions
 # ---------------------------------------------------------------------------
-def _scenario_strategy():
-    arrivals = st.one_of(
-        st.builds(
-            UniformArrivals,
-            num_messages=st.integers(5, 30),
-            rate=st.one_of(st.none(), st.floats(0.2, 5.0)),
-        ),
-        st.builds(
-            HotspotArrivals,
-            num_messages=st.integers(5, 30),
-            hotspot=st.integers(0, 3),
-            hotspot_fraction=st.floats(0.0, 1.0),
-            rate=st.one_of(st.none(), st.floats(0.2, 5.0)),
-        ),
-        st.builds(
-            BurstyArrivals,
-            num_messages=st.integers(5, 30),
-            burst_size=st.integers(1, 8),
-            burst_rate=st.floats(0.5, 8.0),
-            gap=st.floats(0.0, 5.0),
-        ),
-    )
-    link = st.one_of(
-        st.just(LinkModel()),
-        st.builds(
-            BufferedLinkModel,
-            capacity=st.integers(0, 3),
-            on_full=st.sampled_from(["drop", "retry"]),
-            retry_delay=st.floats(0.25, 2.0),
-            max_retries=st.integers(0, 4),
-        ),
-    )
-    fault_event = st.builds(
-        FaultEvent,
-        time=st.floats(0.0, 10.0),
-        kind=st.sampled_from(["link_down", "link_up", "node_down", "node_up"]),
-        target=st.integers(0, 3),  # valid for both links and nodes of GRAPH
-    )
-    faults = st.builds(FaultPlan, st.tuples()) | st.builds(
-        FaultPlan, st.lists(fault_event, max_size=6).map(tuple)
-    )
-    return st.builds(
-        Scenario,
-        arrivals=arrivals,
-        link=link,
-        faults=faults,
-        reroute=st.sampled_from(["none", "arc-disjoint"]),
-        max_hops=st.one_of(st.none(), st.integers(1, 12)),
-    )
-
-
 @settings(max_examples=40, deadline=None)
-@given(scenario=_scenario_strategy(), seed=st.integers(0, 2**16))
+@given(scenario=scenario_strategy(), seed=st.integers(0, 2**16))
 def test_hypothesis_scenario_parity(scenario, seed):
     assert_scenario_parity(GRAPH, scenario, seed)
 

@@ -1,7 +1,9 @@
-"""Serve robustness suite: backpressure, deadlines, drain, reload degrade.
+"""Serve robustness suite: parsing, backpressure, deadlines, drain, reloads.
 
-What PR 9 added to the serve layer, pinned down end to end:
+What the serve layer promises under abuse, pinned down end to end:
 
+* **request parsing** — a ``Content-Length`` that is not a decimal count
+  is answered ``400 Bad Request`` and the connection closed;
 * **admission control** — at ``max_inflight`` concurrent queries the server
   sheds with ``429 + Retry-After`` instead of queueing without bound, and
   the control plane (``/healthz``, ``/stats``) stays green throughout;
@@ -18,6 +20,7 @@ What PR 9 added to the serve layer, pinned down end to end:
 
 import http.client
 import json
+import socket
 import threading
 import time
 from collections import Counter
@@ -53,6 +56,35 @@ def raw_request(host, port, method, path, body=None, timeout=30):
 
 
 QUERY = {"op": "next-hop", "topology": "demo", "pairs": [[0, 1], [1, 2]]}
+
+
+# ---------------------------------------------------------------------------
+# Request parsing: a malformed Content-Length is a 400, not a dropped socket
+# ---------------------------------------------------------------------------
+class TestRequestParsing:
+    @pytest.mark.parametrize("length", ["abc", "-5", "1_0", "+3"])
+    def test_bad_content_length_answers_400_and_closes(self, length):
+        with ServerThread(make_registry()) as server:
+            with socket.create_connection(
+                (server.host, server.port), timeout=10
+            ) as sock:
+                sock.sendall(
+                    (
+                        "POST /v1/query HTTP/1.1\r\nHost: test\r\n"
+                        f"Content-Length: {length}\r\n\r\n{{}}"
+                    ).encode()
+                )
+                reply = b""
+                while chunk := sock.recv(4096):  # until the server closes
+                    reply += chunk
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+            assert b"Connection: close" in head
+            answer = json.loads(body)
+            assert answer["ok"] is False
+            assert "Content-Length" in answer["error"]
+            # one bad client does not hurt the server
+            assert http_request(server.host, server.port, "GET", "/healthz")["ok"]
 
 
 # ---------------------------------------------------------------------------

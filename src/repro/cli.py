@@ -1258,18 +1258,77 @@ def _build_sim_study(args: argparse.Namespace, graph, rates):
     return combos, traffics, link, manifest
 
 
-def _cmd_sim_sharded(args: argparse.Namespace, graph, rates) -> int:
-    """``repro sim --out-dir ...``: replicas as resumable sharded chunks."""
+def _merge_sim_study(
+    args: argparse.Namespace, graph, study, merge, label: str, *, bench_check=False
+) -> int:
+    """Merge a sharded/fleet sim study, print its curves, record ``--json``.
+
+    ``study`` is :func:`_build_sim_study`'s tuple and ``merge`` the
+    zero-argument merge of its store; returns the exit code.  With
+    ``bench_check`` (the fleet merge), a rewritten ``BENCH_*.json`` is gated
+    by :func:`_bench_check_after_merge`.
+    """
     import time as _time
 
+    from repro.simulation.workloads import assemble_throughput_sweep
+
+    combos, traffics, link, _ = study
+    start = _time.perf_counter()
+    try:
+        stats = merge()
+    except FileNotFoundError as error:
+        print(f"merge failed: {error}", file=sys.stderr)
+        return 1
+    sweep = assemble_throughput_sweep(
+        graph,
+        combos,
+        traffics,
+        stats,
+        engine="batched",
+        link=link,
+        wall_time_s=_time.perf_counter() - start,
+        kernel_backend=_active_kernel_backend(),
+    )
+    _print_sweep_curves(sweep)
+    if not args.json:
+        return 0
+    key = f"sweep_H({args.p},{args.q},{args.d})_{label}"
+    entry = sweep.to_json()
+    # The merged sweep never timed the simulation (the shards did, possibly
+    # on other hosts); recording the fold time under `wall_time_s` would
+    # pollute the BENCH trajectory with a bogus near-zero "simulation"
+    # timing.
+    entry.pop("wall_time_s", None)
+    entry["merge_wall_time_s"] = round(sweep.wall_time_s, 4)
+    path = merge_bench_json(args.json, key, entry)
+    print(f"wrote {path}")
+    if bench_check and _bench_check_after_merge(str(path)):
+        return 1
+    return 0
+
+
+def _print_shard_outcome(args: argparse.Namespace, outcome: dict, store, manifest):
+    """The two report lines of a ``--shard i/k`` run (sweep or sim)."""
+    print(
+        f"shard {args.shard}: ran {len(outcome['ran'])} chunks, "
+        f"skipped {len(outcome['skipped'])} already complete"
+    )
+    done = store.completed_ids() & {chunk.chunk_id for chunk in manifest.chunks}
+    print(
+        f"store {store.directory}: {len(done)}/{len(manifest.chunks)} chunks complete"
+    )
+
+
+def _cmd_sim_sharded(args: argparse.Namespace, graph, rates) -> int:
+    """``repro sim --out-dir ...``: replicas as resumable sharded chunks."""
     from repro.otis.sweep import ChunkStore
     from repro.simulation.sharding import merge_replica_stats, run_replica_shard
-    from repro.simulation.workloads import assemble_throughput_sweep
 
     if args.engine != "batched":
         print("sharded mode always uses the batched engine", file=sys.stderr)
         return 2
-    combos, traffics, link, manifest = _build_sim_study(args, graph, rates)
+    study = _build_sim_study(args, graph, rates)
+    combos, traffics, _, manifest = study
     store = ChunkStore(args.out_dir)
     print(
         f"{graph.name}: {len(combos)} replicas x {args.messages} messages in "
@@ -1277,35 +1336,9 @@ def _cmd_sim_sharded(args: argparse.Namespace, graph, rates) -> int:
         f"router {manifest.router})"
     )
     if args.merge:
-        start = _time.perf_counter()
-        try:
-            stats = merge_replica_stats(manifest, store)
-        except FileNotFoundError as error:
-            print(f"merge failed: {error}", file=sys.stderr)
-            return 1
-        sweep = assemble_throughput_sweep(
-            graph,
-            combos,
-            traffics,
-            stats,
-            engine="batched",
-            link=link,
-            wall_time_s=_time.perf_counter() - start,
-            kernel_backend=_active_kernel_backend(),
+        return _merge_sim_study(
+            args, graph, study, lambda: merge_replica_stats(manifest, store), "sharded"
         )
-        _print_sweep_curves(sweep)
-        if args.json:
-            key = f"sweep_H({args.p},{args.q},{args.d})_sharded"
-            entry = sweep.to_json()
-            # The merged sweep never timed the simulation (the shards did,
-            # possibly on other hosts); recording the fold time under
-            # `wall_time_s` would pollute the BENCH trajectory with a bogus
-            # near-zero "simulation" timing.
-            entry.pop("wall_time_s", None)
-            entry["merge_wall_time_s"] = round(sweep.wall_time_s, 4)
-            path = merge_bench_json(args.json, key, entry)
-            print(f"wrote {path}")
-        return 0
     outcome = run_replica_shard(
         manifest,
         store,
@@ -1315,14 +1348,7 @@ def _cmd_sim_sharded(args: argparse.Namespace, graph, rates) -> int:
         resume=args.resume,
         workers=args.workers,
     )
-    print(
-        f"shard {args.shard}: ran {len(outcome['ran'])} chunks, "
-        f"skipped {len(outcome['skipped'])} already complete"
-    )
-    done = store.completed_ids() & {chunk.chunk_id for chunk in manifest.chunks}
-    print(
-        f"store {store.directory}: {len(done)}/{len(manifest.chunks)} chunks complete"
-    )
+    _print_shard_outcome(args, outcome, store, manifest)
     return 0
 
 
@@ -1338,20 +1364,33 @@ def _parse_shard(text: str) -> tuple[int, int]:
     return index, count
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.otis.search import PAPER_TABLE1, compare_with_paper
-    from repro.otis.sweep import ChunkManifest, ChunkStore, merge_sweep, run_sweep
+def _build_sweep_manifest(args: argparse.Namespace):
+    """The manifest of ``repro sweep`` / ``repro fleet sweep``.
+
+    Returns None after printing the error when the ``--n-min``/``--n-max``
+    range is empty (the caller exits 2).
+    """
+    from repro.otis.sweep import ChunkManifest
 
     if args.n_min < 1 or args.n_max < args.n_min:
         print("need 1 <= --n-min <= --n-max", file=sys.stderr)
-        return 2
-    manifest = ChunkManifest.build(
+        return None
+    return ChunkManifest.build(
         args.d,
         args.diameter,
         range(args.n_min, args.n_max + 1),
         require_exact=not args.at_most,
         chunk_size=args.chunk_size,
     )
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.otis.search import PAPER_TABLE1, compare_with_paper
+    from repro.otis.sweep import ChunkStore, merge_sweep, run_sweep
+
+    manifest = _build_sweep_manifest(args)
+    if manifest is None:
+        return 2
     store = ChunkStore(args.out_dir)
     print(
         f"sweep d={args.d} D={args.diameter} n={args.n_min}..{args.n_max}: "
@@ -1385,12 +1424,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         cache=args.cache_dir,
         workers=args.workers,
     )
-    print(
-        f"shard {args.shard}: ran {len(outcome['ran'])} chunks, "
-        f"skipped {len(outcome['skipped'])} already complete"
-    )
-    done = store.completed_ids() & {chunk.chunk_id for chunk in manifest.chunks}
-    print(f"store {store.directory}: {len(done)}/{len(manifest.chunks)} chunks complete")
+    _print_shard_outcome(args, outcome, store, manifest)
     return 0
 
 
@@ -1493,18 +1527,11 @@ def _bench_check_after_merge(json_path: str) -> int:
 def _fleet_sweep(args: argparse.Namespace) -> int:
     from repro.fleet import SweepFleetJob, run_fleet
     from repro.otis.search import PAPER_TABLE1, compare_with_paper
-    from repro.otis.sweep import ChunkManifest, ChunkStore
+    from repro.otis.sweep import ChunkStore
 
-    if args.n_min < 1 or args.n_max < args.n_min:
-        print("need 1 <= --n-min <= --n-max", file=sys.stderr)
+    manifest = _build_sweep_manifest(args)
+    if manifest is None:
         return 2
-    manifest = ChunkManifest.build(
-        args.d,
-        args.diameter,
-        range(args.n_min, args.n_max + 1),
-        require_exact=not args.at_most,
-        chunk_size=args.chunk_size,
-    )
     job = SweepFleetJob(
         manifest, ChunkStore(args.out_dir), cache=args.cache_dir
     )
@@ -1528,49 +1555,22 @@ def _fleet_sweep(args: argparse.Namespace) -> int:
 
 
 def _fleet_sim(args: argparse.Namespace) -> int:
-    import time as _time
-
     from repro.fleet import SimFleetJob, run_fleet
     from repro.otis.h_digraph import h_digraph
     from repro.otis.sweep import ChunkStore
-    from repro.simulation.workloads import assemble_throughput_sweep
 
     graph = h_digraph(args.p, args.q, args.d)
     rates = tuple(args.rates) if args.rates else (None,)
-    combos, traffics, link, manifest = _build_sim_study(args, graph, rates)
+    study = _build_sim_study(args, graph, rates)
+    _, traffics, _, manifest = study
     job = SimFleetJob(manifest, ChunkStore(args.out_dir), graph, traffics)
     print(job.describe())
     if args.watch:
         return _fleet_watch(job, args)
     if args.merge:
-        start = _time.perf_counter()
-        try:
-            stats = job.merge()
-        except FileNotFoundError as error:
-            print(f"merge failed: {error}", file=sys.stderr)
-            return 1
-        sweep = assemble_throughput_sweep(
-            graph,
-            combos,
-            traffics,
-            stats,
-            engine="batched",
-            link=link,
-            wall_time_s=_time.perf_counter() - start,
-            kernel_backend=_active_kernel_backend(),
+        return _merge_sim_study(
+            args, graph, study, job.merge, "fleet", bench_check=True
         )
-        _print_sweep_curves(sweep)
-        if args.json:
-            key = f"sweep_H({args.p},{args.q},{args.d})_fleet"
-            entry = sweep.to_json()
-            # As in the sharded merge: the fold never timed the simulation.
-            entry.pop("wall_time_s", None)
-            entry["merge_wall_time_s"] = round(sweep.wall_time_s, 4)
-            path = merge_bench_json(args.json, key, entry)
-            print(f"wrote {path}")
-            if _bench_check_after_merge(str(path)):
-                return 1
-        return 0
     outcome = run_fleet(job, **_fleet_kwargs(args))
     _print_fleet_outcome(outcome, job)
     return 0

@@ -1,12 +1,14 @@
 """Lease-based fleet driver: auto-assigned sweep/sim chunks on a shared dir.
 
-``repro sweep --shard i/k`` and ``repro sim --shard i/k`` split work
-*statically*: every host must be told its index, a crashed host's shard
-simply never finishes, and a fast host idles while a slow one grinds.  This
-package replaces the hand-rolled shard loops with **dynamic self-assignment**
-in the work-stealing spirit of the Bobpp framework (PAPERS.md): any number of
-worker processes — same host, or many hosts on a shared filesystem — point at
-one ``--out-dir`` and claim chunks through atomic lease files with a TTL.
+This package owns both ways a chunked job runs.  ``repro sweep --shard i/k``
+and ``repro sim --shard i/k`` split work *statically* through
+:func:`~repro.fleet.driver.run_shard` (every host must be told its index, a
+crashed host's shard simply never finishes, and a fast host idles while a
+slow one grinds); ``repro fleet ...`` replaces that with **dynamic
+self-assignment** in the work-stealing spirit of the Bobpp framework
+(PAPERS.md): any number of worker processes — same host, or many hosts on a
+shared filesystem — point at one ``--out-dir`` and claim chunks through
+atomic lease files with a TTL.
 
 * :mod:`repro.fleet.leases` — the claim protocol.  A lease is a file created
   exclusively via write-tmp/fsync/``os.link`` (the NFS-safe mutual-exclusion
@@ -15,14 +17,18 @@ one ``--out-dir`` and claim chunks through atomic lease files with a TTL.
   once a full TTL passes without a heartbeat — judged by wall clock with a
   configurable skew margin *or* by local monotonic observation, so fleets
   spanning hosts with disagreeing clocks stay safe.
-* :mod:`repro.fleet.driver` — :class:`~repro.fleet.driver.FleetJob` adapts a
-  chunk backend (the degree–diameter sweep of :mod:`repro.otis.sweep`, the
-  replica simulation of :mod:`repro.simulation.sharding`) to one claim →
-  run → publish → release loop, :func:`~repro.fleet.driver.run_fleet`, with
-  worker-side lease prefetch and deterministic straggler splitting
-  (``split_after``): an overweight chunk is cut into deterministically named
-  sub-chunks any worker can claim, and the assembled parent file is
-  byte-identical to the unsplit run.
+* :mod:`repro.fleet.driver` — :class:`~repro.fleet.driver.FleetJob`
+  describes how one chunk of a backend (the degree–diameter sweep of
+  :mod:`repro.otis.sweep`, the replica simulation of
+  :mod:`repro.simulation.sharding`) is computed, in process or as a
+  picklable task.  :func:`~repro.fleet.driver.run_shard` executes a static
+  shard (serial or over the repo's one process pool,
+  :func:`~repro.fleet.driver.dispatch_chunks`);
+  :func:`~repro.fleet.driver.run_fleet` is the claim → run → publish →
+  release loop, with worker-side lease prefetch and deterministic straggler
+  splitting (``split_after``): an overweight chunk is cut into
+  deterministically named sub-chunks any worker can claim, and the
+  assembled parent file is byte-identical to the unsplit run.
 * :mod:`repro.fleet.status` — live progress/heartbeat snapshots over a store
   (who holds what, for how long, how much is done), the ``--watch`` view.
 
@@ -40,7 +46,9 @@ from repro.fleet.driver import (
     FleetTerminated,
     SimFleetJob,
     SweepFleetJob,
+    dispatch_chunks,
     run_fleet,
+    run_shard,
 )
 from repro.fleet.leases import Heartbeat, Lease, LeaseInfo, LeaseManager
 from repro.fleet.status import (
@@ -57,6 +65,8 @@ __all__ = [
     "FleetTerminated",
     "SweepFleetJob",
     "SimFleetJob",
+    "dispatch_chunks",
+    "run_shard",
     "run_fleet",
     "Heartbeat",
     "Lease",

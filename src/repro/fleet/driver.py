@@ -1,19 +1,32 @@
-"""The fleet loop: claim a chunk, run it, publish it, release, repeat.
+"""The chunk executors: a static shard loop and the lease-driven fleet loop.
 
-:class:`FleetJob` is the small protocol that makes the two chunk backends —
-the degree–diameter sweep (:mod:`repro.otis.sweep`) and the replica
-simulation (:mod:`repro.simulation.sharding`) — interchangeable under one
-driver.  A job owns a manifest (the named chunks), a
-:class:`~repro.otis.sweep.ChunkStore` (the published results) and knows how
-to compute one chunk's records; :func:`run_fleet` supplies everything else:
-store-identity verification, lease claiming with TTL/heartbeat, reclaim of
-crashed workers' chunks, and termination once every chunk is published.
+:class:`FleetJob` is the one description of how a chunk is computed, and
+makes the two chunk backends — the degree–diameter sweep
+(:mod:`repro.otis.sweep`) and the replica simulation
+(:mod:`repro.simulation.sharding`) — interchangeable.  A job owns a
+manifest (the named chunks), a :class:`~repro.otis.sweep.ChunkStore` (the
+published results) and knows how to compute one chunk's records, either in
+process (:meth:`FleetJob.run_chunk`) or as a picklable task
+(:meth:`FleetJob.compute` over :meth:`FleetJob.payload`).  This module runs
+a job in the two ways there are:
 
-The driver adds **no semantics** to the results: a chunk's records are the
-same bytes whether the serial path, a ``--shard i/k`` run or a fleet worker
-computed them (chunk computations are pure, publication is one atomic
-rename), so fleet merges are byte-identical to serial merges — the property
-every test in ``tests/test_fleet.py`` pins down.
+* statically — :func:`run_shard`: a fixed round-robin shard (``--shard
+  i/k``), resume skip, serial or ``workers=N`` over :func:`dispatch_chunks`,
+  the repo's one process pool, publishing each chunk as it completes.  It
+  backs :func:`~repro.otis.sweep.run_sweep` and
+  :func:`~repro.simulation.sharding.run_replica_shard`, and the same
+  dispatch (with no store) backs
+  :func:`~repro.otis.search.degree_diameter_search`;
+* dynamically — :func:`run_fleet`: store-identity verification, lease
+  claiming with TTL/heartbeat, reclaim of crashed workers' chunks, straggler
+  splits, and termination once every chunk is published.
+
+Neither adds **semantics** to the results: a chunk's records are the same
+bytes whether the serial path, a ``--shard i/k`` run, a pool worker or a
+fleet worker computed them (chunk computations are pure, publication is one
+atomic rename), so every merge is byte-identical to a serial one — the
+property ``tests/test_fleet.py`` and ``tests/test_chunk_executor.py`` pin
+down.
 """
 
 from __future__ import annotations
@@ -23,6 +36,7 @@ import signal
 import socket
 import time
 import uuid
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,6 +61,8 @@ __all__ = [
     "FleetTerminated",
     "SweepFleetJob",
     "SimFleetJob",
+    "dispatch_chunks",
+    "run_shard",
     "run_fleet",
     "default_worker_id",
 ]
@@ -84,12 +100,15 @@ class FleetTerminated(Exception):
 
 
 class FleetJob:
-    """One fleet-drivable workload: a manifest of chunks over a store.
+    """One chunked workload: a manifest of chunks over a store.
 
-    Subclasses bind a concrete backend.  ``manifest`` must expose
-    ``chunks`` (a tuple of :class:`~repro.otis.sweep.SweepChunk`) and
-    ``identity()`` (the ``manifest.json`` payload); ``run_chunk`` must be a
-    pure function of the chunk — the driver may execute it on any worker,
+    Subclasses bind a concrete backend.  ``manifest`` must be a
+    :class:`~repro.otis.sweep.ManifestBase` (``chunks``, ``shard()``,
+    ``identity()``).  :meth:`payload` is the picklable input of one chunk
+    and :meth:`compute` the module-level function that turns it into the
+    chunk's records — what a pool worker runs, shipping only that chunk's
+    inputs; :meth:`run_chunk` is the in-process form.  All three must be a
+    pure function of the chunk — a driver may execute it on any worker,
     more than once across reclaims, and relies on every execution producing
     identical records.
     """
@@ -103,8 +122,17 @@ class FleetJob:
     def identity(self) -> dict:
         return self.manifest.identity()
 
-    def run_chunk(self, chunk: SweepChunk) -> list[dict]:
+    def payload(self, chunk: SweepChunk) -> tuple:
+        """The picklable input :meth:`compute` turns into ``chunk``'s records."""
         raise NotImplementedError
+
+    @staticmethod
+    def compute(payload: tuple) -> list[dict]:
+        """A chunk's records from its :meth:`payload` (module-level, picklable)."""
+        raise NotImplementedError
+
+    def run_chunk(self, chunk: SweepChunk) -> list[dict]:
+        return self.compute(self.payload(chunk))
 
     def merge(self):
         """Fold the completed store into the backend's final result."""
@@ -121,11 +149,17 @@ class FleetJob:
 class SweepFleetJob(FleetJob):
     """Degree–diameter sweep chunks (:mod:`repro.otis.sweep`) as a fleet job.
 
-    ``cache`` is the optional :class:`~repro.otis.sweep.SplitVerdictCache`
-    directory shared by the fleet: each worker appends fresh verdicts with
-    single ``O_APPEND`` writes, so any number of workers share one cache
-    file safely.
+    ``cache`` is the optional :class:`~repro.otis.sweep.SplitVerdictCache`,
+    or a directory from which one is opened with the manifest's parameters
+    — the one place that choice is made.  In process the open cache is used
+    directly, so a caller's cache object keeps one hit/miss ledger; pool
+    workers each open their own view of its directory, and any number of
+    workers share one cache file safely (single ``O_APPEND`` writes).
+    ``store`` may be None for a job that is only dispatched in memory, as
+    :func:`~repro.otis.search.degree_diameter_search` does.
     """
+
+    compute = staticmethod(_run_sweep_chunk)
 
     def __init__(
         self,
@@ -135,25 +169,27 @@ class SweepFleetJob(FleetJob):
         cache: SplitVerdictCache | str | Path | None = None,
     ):
         self.manifest = manifest
-        self.store = store if isinstance(store, ChunkStore) else ChunkStore(store)
-        if isinstance(cache, SplitVerdictCache):
-            self._cache = cache
-        elif cache is not None:
-            self._cache = SplitVerdictCache(
+        if store is not None and not isinstance(store, ChunkStore):
+            store = ChunkStore(store)
+        self.store = store
+        if cache is not None and not isinstance(cache, SplitVerdictCache):
+            cache = SplitVerdictCache(
                 cache, manifest.d, manifest.diameter, version=manifest.code_version
             )
-        else:
-            self._cache = None
+        self._cache = cache
 
-    def run_chunk(self, chunk: SweepChunk) -> list[dict]:
-        payload = (
+    def payload(self, chunk: SweepChunk) -> tuple:
+        cache = self._cache
+        return (
             self.manifest.d,
             self.manifest.diameter,
             chunk.items,
-            None,
-            self.manifest.code_version,
+            None if cache is None else str(cache.directory),
+            self.manifest.code_version if cache is None else cache.version,
         )
-        return _run_sweep_chunk(payload, cache=self._cache)
+
+    def run_chunk(self, chunk: SweepChunk) -> list[dict]:
+        return _run_sweep_chunk(self.payload(chunk), cache=self._cache)
 
     def merge(self):
         return merge_sweep(self.manifest, self.store)
@@ -184,13 +220,23 @@ class SweepFleetJob(FleetJob):
         )
 
 
+def _run_replica_payload(payload: tuple) -> list[dict]:
+    """:func:`repro.simulation.sharding.run_replica_chunk`, imported lazily."""
+    from repro.simulation.sharding import run_replica_chunk
+
+    return run_replica_chunk(payload)
+
+
 class SimFleetJob(FleetJob):
     """Replica-simulation chunks (:mod:`repro.simulation.sharding`) as a job.
 
     The supplied traffics are verified against the manifest's digests once,
-    up front — the fleet must never simulate messages other than the ones
-    the chunk ids were derived from.
+    up front — no executor may simulate messages other than the ones the
+    chunk ids were derived from.  A chunk's payload carries only its own
+    replicas' traffic arrays.
     """
+
+    compute = staticmethod(_run_replica_payload)
 
     def __init__(self, manifest, store: ChunkStore | str | Path, graph, traffics):
         from repro.simulation.sharding import verify_traffics
@@ -200,17 +246,14 @@ class SimFleetJob(FleetJob):
         self.graph = graph
         self._arrays = verify_traffics(manifest, traffics)
 
-    def run_chunk(self, chunk: SweepChunk) -> list[dict]:
-        from repro.simulation.sharding import run_replica_chunk
-
-        payload = (
+    def payload(self, chunk: SweepChunk) -> tuple:
+        return (
             self.graph,
             self.manifest.link,
             self.manifest.router,
             self.manifest.scenario,
             [(index, self._arrays[index]) for index, _ in chunk.items],
         )
-        return run_replica_chunk(payload)
 
     def merge(self):
         from repro.simulation.sharding import merge_replica_stats
@@ -232,6 +275,71 @@ class SimFleetJob(FleetJob):
             f"{len(self.chunks())} chunks (router {self.manifest.router}, "
             f"code version {self.manifest.code_version})"
         )
+
+
+def dispatch_chunks(
+    job: FleetJob, chunks, publish, *, workers: int | None = None
+) -> None:
+    """Compute ``chunks`` of ``job``, handing each ``(chunk, records)`` to ``publish``.
+
+    Serially, in the given order, through :meth:`FleetJob.run_chunk` — so
+    a sweep keeps using the caller's open verdict cache.  With ``workers >
+    1`` and more than one chunk, over a process pool: each task ships
+    :meth:`FleetJob.compute` and one chunk's :meth:`FleetJob.payload`, and
+    ``publish`` runs in completion order (not submission order), so if the
+    process dies while one slow chunk is still in flight every finished
+    chunk is already published and a resume recomputes only the lost ones.
+    """
+    chunks = list(chunks)
+    if workers is not None and workers > 1 and len(chunks) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = {
+                pool.submit(job.compute, job.payload(chunk)): chunk
+                for chunk in chunks
+            }
+            for future in as_completed(futures):
+                publish(futures[future], future.result())
+    else:
+        for chunk in chunks:
+            publish(chunk, job.run_chunk(chunk))
+
+
+def run_shard(
+    job: FleetJob,
+    *,
+    shard: tuple[int, int] = (0, 1),
+    resume: bool = False,
+    workers: int | None = None,
+) -> dict:
+    """Execute one static shard of a job into its store.
+
+    Verifies the store identity, runs the round-robin shard ``index`` of
+    ``count`` (``shard``; different shards write disjoint chunk files, so
+    any number of hosts can share one store without locking), skips chunks
+    already published when ``resume`` is set, and publishes each chunk
+    atomically the moment it is computed (:func:`dispatch_chunks`).
+
+    Returns a dict with the ``ran`` chunk ids (manifest order serially,
+    completion order under a pool), the ``skipped`` ones and the ``store``
+    directory.
+    """
+    store = job.store
+    ensure_store_identity(store, job.identity())
+    todo: list[SweepChunk] = []
+    skipped: list[str] = []
+    for chunk in job.manifest.shard(*shard):
+        if resume and store.is_complete(chunk):
+            skipped.append(chunk.chunk_id)
+        else:
+            todo.append(chunk)
+    ran: list[str] = []
+
+    def publish(chunk: SweepChunk, records: list[dict]) -> None:
+        store.write(chunk, records)
+        ran.append(chunk.chunk_id)
+
+    dispatch_chunks(job, todo, publish, workers=workers)
+    return {"ran": ran, "skipped": skipped, "store": str(store.directory)}
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ silently, because nothing fails until the refactor lands.  The concrete
 instance that motivated this rule: ``fleet/driver.py`` calling
 ``leases._expired(...)``, which pinned an internal lease-manager predicate
 into the straggler-split policy.  The fix is always the same: promote the
-name to a public method/function (keeping the old name as an alias for
-compatibility) and depend on that.
+name to a public method/function, move every caller to it, and delete the
+private name — nothing outside the package may import a private name, so
+there is no one left for an alias to serve.
 
 The rule flags, per module:
 

@@ -21,16 +21,19 @@ This module re-runs that search:
   with early abort at the target diameter,
 * :func:`degree_diameter_search` — sweep a range of ``n`` and report every
   ``(n, p, q)`` whose OTIS digraph has exactly the requested diameter,
-  optionally fanned out over a :class:`~concurrent.futures.ProcessPoolExecutor`,
+  optionally fanned out over a process pool,
 * :func:`table1_rows` — the paper's Table 1 rows regenerated (restricted, by
   default, to the ``n`` range the paper prints).
 
 The sweep itself is orchestrated by :mod:`repro.otis.sweep`: the ``(n, p, q)``
 work list is deterministically partitioned into named chunks
 (:class:`repro.otis.sweep.ChunkManifest`), and this module's in-process search
-is "one host consuming every chunk".  The same manifest drives the multi-host
-sharded path (``python -m repro sweep --shard i/k``) with resumable per-chunk
-persistence, and both paths consult the on-disk
+is "one host consuming every chunk" — the chunks of a
+:class:`repro.fleet.driver.SweepFleetJob`, computed by the same serial-or-pool
+dispatch (:func:`repro.fleet.driver.dispatch_chunks`) the sharded and fleet
+paths use, but folded in memory with no chunk store.  The same manifest
+drives the multi-host sharded path (``python -m repro sweep --shard i/k``)
+with resumable per-chunk persistence, and every path consults the on-disk
 :class:`repro.otis.sweep.SplitVerdictCache` of ``h_diameter`` verdicts when a
 ``cache`` is supplied — overlapping Table 1 blocks share many splits, and the
 verdicts are pure functions of ``(p, q, d, D)``.
@@ -48,7 +51,6 @@ compiled.  See ``docs/apsp.md`` for the ladder and the engine's contract.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -272,8 +274,9 @@ def degree_diameter_search(
     The sweep always routes through the chunk manifest of
     :mod:`repro.otis.sweep`: the ``(n, p, q)`` work list is deterministically
     partitioned into named chunks, and this function is simply "one host
-    consuming every chunk" — serially, or fanned out over a
-    :class:`~concurrent.futures.ProcessPoolExecutor`.  Because the manifest
+    consuming every chunk" — serially, or fanned out over a process pool
+    (:func:`repro.fleet.driver.dispatch_chunks`), folding the records in
+    memory without writing any chunk file.  Because the manifest
     partitioning is a pure function of the parameters (cf. the deterministic
     work-splitting of Bobpp-style exhaustive search) and the merge orders
     records canonically, the result is identical whether the chunks ran
@@ -298,9 +301,8 @@ def degree_diameter_search(
         diameter-10 block to the rows the paper prints).
     workers:
         When given and ``> 1``, the manifest's chunks are fanned out over a
-        :class:`~concurrent.futures.ProcessPoolExecutor`; chunk results are
-        merged in manifest order, so the result is identical to the serial
-        sweep regardless of worker scheduling.
+        process pool; the fold orders records canonically, so the result is
+        identical to the serial sweep regardless of worker scheduling.
     chunk_size:
         ``(n, p, q)`` work items per chunk (a chunk is the unit of worker
         dispatch and, in the sharded path, of resumable persistence).
@@ -315,12 +317,8 @@ def degree_diameter_search(
     -------
     DegreeDiameterResult
     """
-    from repro.otis.sweep import (
-        ChunkManifest,
-        SplitVerdictCache,
-        fold_records,
-        run_chunk,
-    )
+    from repro.fleet.driver import SweepFleetJob, dispatch_chunks
+    from repro.otis.sweep import ChunkManifest, fold_records
 
     if n_min < 1 or n_max < n_min:
         raise ValueError("need 1 <= n_min <= n_max")
@@ -330,37 +328,14 @@ def degree_diameter_search(
     manifest = ChunkManifest.build(
         d, diameter, sweep_ns, require_exact=require_exact, chunk_size=chunk_size
     )
-    if isinstance(cache, SplitVerdictCache):
-        cache_dir: str | None = str(cache.directory)
-        cache_version = cache.version
-    elif cache is not None:
-        cache_dir = str(cache)
-        cache_version = manifest.code_version
-    else:
-        cache_dir, cache_version = None, manifest.code_version
-    payloads = [
-        (d, diameter, chunk.items, cache_dir, cache_version)
-        for chunk in manifest.chunks
-    ]
+    job = SweepFleetJob(manifest, None, cache=cache)
     records: list[dict] = []
-    if workers is not None and workers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk_records in pool.map(run_chunk, payloads):
-                records.extend(chunk_records)
-    else:
-        # One shared cache view across all chunks, so a caller-supplied
-        # cache object accumulates its hit/miss ledger.
-        local_cache = (
-            cache
-            if isinstance(cache, SplitVerdictCache)
-            else (
-                SplitVerdictCache(cache_dir, d, diameter, version=cache_version)
-                if cache_dir is not None
-                else None
-            )
-        )
-        for payload in payloads:
-            records.extend(run_chunk(payload, cache=local_cache))
+    dispatch_chunks(
+        job,
+        manifest.chunks,
+        lambda _chunk, chunk_records: records.extend(chunk_records),
+        workers=workers,
+    )
     return fold_records(manifest, records, n_range=(n_min, n_max))
 
 

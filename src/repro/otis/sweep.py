@@ -25,13 +25,17 @@ Bobpp-like exhaustive search frameworks (see PAPERS.md):
   change to the verdict-defining sources) switches to a fresh cache file, so
   stale verdicts can never leak across versions.
 
-:func:`run_sweep` executes (a shard of) a manifest into a store and
-:func:`merge_sweep` folds the chunk files back into the same
-:class:`~repro.otis.search.DegreeDiameterResult` that an in-process
-:func:`~repro.otis.search.degree_diameter_search` returns — byte-identical
-rows, regardless of how the work was sharded.  The CLI front-end is
-``python -m repro sweep`` (``--shard i/k``, ``--resume``, ``--merge``,
-``--cache-dir``).
+:func:`run_sweep` executes (a shard of) a manifest into a store — it is
+:func:`repro.fleet.driver.run_shard` on a
+:class:`~repro.fleet.driver.SweepFleetJob`, the one static chunk executor
+the replica simulator shares — and :func:`merge_sweep` folds the chunk files
+back into the same :class:`~repro.otis.search.DegreeDiameterResult` that an
+in-process :func:`~repro.otis.search.degree_diameter_search` returns —
+byte-identical rows, regardless of how the work was sharded.  Both
+manifests (this module's and the simulator's) derive from
+:class:`ManifestBase`, and both merges open with :func:`prepare_merge`.  The
+CLI front-end is ``python -m repro sweep`` (``--shard i/k``, ``--resume``,
+``--merge``, ``--cache-dir``).
 
 On-disk formats (all JSON, one object per line in the ``.jsonl`` files):
 
@@ -69,7 +73,6 @@ import json
 import os
 import tempfile
 import warnings
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -84,10 +87,12 @@ __all__ = [
     "make_chunks",
     "split_chunk",
     "assemble_split",
+    "ManifestBase",
     "ChunkManifest",
     "ChunkStore",
     "StoreIdentityError",
     "ensure_store_identity",
+    "prepare_merge",
     "SplitVerdictCache",
     "run_chunk",
     "run_sweep",
@@ -292,8 +297,63 @@ def _write_payload(fd: int, payload: bytes) -> None:
     os.fsync(fd)
 
 
+class ManifestBase:
+    """What every chunk manifest shares: round-robin shards and the identity.
+
+    A manifest is a frozen dataclass with a ``chunks`` tuple of
+    :class:`SweepChunk` and a ``code_version``; subclasses name the
+    parameters that define their chunk ids in :meth:`identity_fields`, and
+    the two class attributes word :func:`prepare_merge`'s diagnostics.
+    :class:`ChunkManifest` (the degree–diameter sweep) and
+    :class:`repro.simulation.sharding.ReplicaChunkManifest` (replica
+    simulations) are the two manifests.
+    """
+
+    #: What the merge diagnostics call this manifest's chunks.
+    CHUNK_NOUN = "chunks"
+    #: The parameters whose change renames the chunk ids, for the orphan note.
+    RENAMED_BY = "parameters"
+
+    def shard(self, index: int, count: int) -> tuple[SweepChunk, ...]:
+        """The chunks assigned to shard ``index`` of ``count`` (round-robin).
+
+        Round-robin (``chunks[index::count]``) rather than contiguous ranges,
+        so the expensive large-``n`` chunks at the end of a Table 1 block
+        spread evenly over the shards.  The shards partition :attr:`chunks`:
+        their union over ``index in range(count)`` is exactly the manifest.
+        """
+        if count < 1:
+            raise ValueError("shard count must be positive")
+        if not 0 <= index < count:
+            raise ValueError(f"shard index must be in [0, {count}), got {index}")
+        return self.chunks[index::count]
+
+    def identity_fields(self) -> dict:
+        """The parameters that rename the chunk ids, as JSON."""
+        raise NotImplementedError
+
+    def identity(self) -> dict:
+        """The JSON identity persisted as ``manifest.json`` in a store.
+
+        Every parameter that renames the chunk ids appears here (plus a
+        digest over the ids themselves, which covers e.g. per-replica
+        traffic digests), so :func:`ensure_store_identity` can fail fast —
+        with the *differing field named* — when a store directory is
+        relaunched, resumed or merged under parameters other than the ones
+        it was built for.
+        """
+        ids = hashlib.sha256(
+            "".join(chunk.chunk_id for chunk in self.chunks).encode()
+        ).hexdigest()[:16]
+        return {
+            **self.identity_fields(),
+            "num_chunks": len(self.chunks),
+            "chunk_ids_digest": ids,
+        }
+
+
 @dataclass(frozen=True)
-class ChunkManifest:
+class ChunkManifest(ManifestBase):
     """Deterministic partition of a degree–diameter sweep into named chunks.
 
     Built by :meth:`build` as a pure function of ``(d, diameter,
@@ -307,6 +367,11 @@ class ChunkManifest:
     time, and keeping it in the identity means a store directory can never
     silently mix sweeps that were launched with different filters.
     """
+
+    RENAMED_BY = (
+        "the code version or sweep parameters (chunk_size, require_exact, "
+        "n range)"
+    )
 
     d: int
     diameter: int
@@ -355,32 +420,7 @@ class ChunkManifest:
             chunks=tuple(chunks),
         )
 
-    def shard(self, index: int, count: int) -> tuple[SweepChunk, ...]:
-        """The chunks assigned to shard ``index`` of ``count`` (round-robin).
-
-        Round-robin (``chunks[index::count]``) rather than contiguous ranges,
-        so the expensive large-``n`` chunks at the end of a Table 1 block
-        spread evenly over the shards.  The shards partition :attr:`chunks`:
-        their union over ``index in range(count)`` is exactly the manifest.
-        """
-        if count < 1:
-            raise ValueError("shard count must be positive")
-        if not 0 <= index < count:
-            raise ValueError(f"shard index must be in [0, {count}), got {index}")
-        return self.chunks[index::count]
-
-    def identity(self) -> dict:
-        """The JSON identity persisted as ``manifest.json`` in a store.
-
-        Every parameter that renames the chunk ids appears here (plus a
-        digest over the ids themselves), so :func:`ensure_store_identity`
-        can fail fast — with the *differing field named* — when a store
-        directory is relaunched, resumed or merged under parameters other
-        than the ones it was built for.
-        """
-        ids = hashlib.sha256(
-            "".join(chunk.chunk_id for chunk in self.chunks).encode()
-        ).hexdigest()[:16]
+    def identity_fields(self) -> dict:
         return {
             "kind": "degree-diameter-sweep",
             "d": self.d,
@@ -389,8 +429,6 @@ class ChunkManifest:
             "n_values": list(self.n_values),
             "chunk_size": self.chunk_size,
             "code_version": self.code_version,
-            "num_chunks": len(self.chunks),
-            "chunk_ids_digest": ids,
         }
 
 
@@ -597,8 +635,7 @@ def ensure_store_identity(store: ChunkStore, identity: dict) -> None:
     """Persist or verify a store directory's manifest identity.
 
     On the first write into an out-dir the identity (every parameter that
-    renames the chunk ids — see :meth:`ChunkManifest.identity` /
-    :meth:`repro.simulation.sharding.ReplicaChunkManifest.identity`) is
+    renames the chunk ids — see :meth:`ManifestBase.identity`) is
     published atomically as ``manifest.json``.  Every later run, resume or
     merge against the same directory must present the same identity;  a
     mismatch raises :class:`StoreIdentityError` naming the differing fields
@@ -783,13 +820,14 @@ def run_chunk(
 ) -> list[dict]:
     """Compute the verdict records of one chunk.
 
-    ``payload`` is ``(d, diameter, items, cache_dir, cache_version)`` — a
-    plain picklable tuple so :class:`ProcessPoolExecutor` workers can run
-    chunks; the serial path calls it with the same payload, keeping one code
-    path for both.  Each worker opens its own :class:`SplitVerdictCache`
-    view of ``cache_dir`` (appends interleave safely, see the cache's
-    docstring); a serial caller may instead pass an already-open ``cache``,
-    which takes precedence and keeps one hit/miss ledger across chunks.
+    ``payload`` is ``(d, diameter, items, cache_dir, cache_version)`` — the
+    plain picklable tuple :meth:`repro.fleet.driver.SweepFleetJob.payload`
+    builds, so process-pool workers can run chunks; the serial path calls it
+    with the same payload, keeping one code path for both.  Each worker
+    opens its own :class:`SplitVerdictCache` view of ``cache_dir`` (appends
+    interleave safely, see the cache's docstring); a serial caller may
+    instead pass an already-open ``cache``, which takes precedence and keeps
+    one hit/miss ledger across chunks.
     """
     d, diameter, items, cache_dir, cache_version = payload
     if cache is None and cache_dir is not None:
@@ -847,6 +885,11 @@ def run_sweep(
 ) -> dict:
     """Execute (one shard of) a manifest into a chunk store.
 
+    :func:`repro.fleet.driver.run_shard` on a
+    :class:`~repro.fleet.driver.SweepFleetJob` — the static executor the
+    replica simulator's :func:`~repro.simulation.sharding.run_replica_shard`
+    shares.
+
     Parameters
     ----------
     manifest:
@@ -869,67 +912,74 @@ def run_sweep(
         is opened with the manifest's parameters.  Consulted before every
         ``h_diameter`` call and fed with every fresh verdict.
     workers:
-        When ``> 1``, chunks of this shard fan out over a
-        :class:`ProcessPoolExecutor` (each worker opening its own cache
-        view); results are identical regardless of scheduling because every
-        chunk is an independent pure computation.
+        When ``> 1``, chunks of this shard fan out over a process pool
+        (each worker opening its own cache view); results are identical
+        regardless of scheduling because every chunk is an independent pure
+        computation.
 
     Returns
     -------
     dict with ``ran`` / ``skipped`` chunk-id lists and the store directory.
     """
+    from repro.fleet.driver import SweepFleetJob, run_shard
+
+    job = SweepFleetJob(manifest, store, cache=cache)
+    return run_shard(job, shard=shard, resume=resume, workers=workers)
+
+
+def prepare_merge(
+    manifest: ManifestBase, store: ChunkStore | str | Path, *, partial: bool = False
+) -> tuple[ChunkStore, list[SweepChunk]]:
+    """The preamble of every merge: ``(store, published chunks)``.
+
+    Verifies the store's identity (:class:`StoreIdentityError` before
+    anything else), folds back any straggler split whose sub-chunks are all
+    published but whose parent was never assembled (the assembler died
+    between the two steps), then lists the manifest's published chunks in
+    manifest order.  Unless ``partial``, a missing chunk raises
+    ``FileNotFoundError`` naming the missing ids — a partial merge would
+    silently drop results, which is exactly the failure mode the named
+    manifest exists to prevent.
+    """
     if not isinstance(store, ChunkStore):
         store = ChunkStore(store)
     ensure_store_identity(store, manifest.identity())
-    shard_index, shard_count = shard
-    chunks = manifest.shard(shard_index, shard_count)
-    todo = []
-    skipped = []
-    for chunk in chunks:
-        if resume and store.is_complete(chunk):
-            skipped.append(chunk.chunk_id)
-        else:
-            todo.append(chunk)
-
-    cache_dir: str | None = None
-    local_cache: SplitVerdictCache | None = None
-    if isinstance(cache, SplitVerdictCache):
-        local_cache = cache
-        cache_dir = str(cache.directory)
-        cache_version = cache.version
-    elif cache is not None:
-        cache_dir = str(cache)
-        cache_version = manifest.code_version
-        local_cache = SplitVerdictCache(
-            cache_dir, manifest.d, manifest.diameter, version=cache_version
-        )
-    else:
-        cache_version = manifest.code_version
-
-    payloads = [
-        (manifest.d, manifest.diameter, chunk.items, cache_dir, cache_version)
-        for chunk in todo
-    ]
-    if workers is not None and workers > 1 and len(todo) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # Publish each chunk the moment its future completes (not in
-            # submission order): if the process dies while one slow chunk is
-            # still in flight, every finished chunk is already on disk and a
-            # --resume relaunch recomputes only the one that was lost.
-            futures = {
-                pool.submit(run_chunk, payload): chunk
-                for chunk, payload in zip(todo, payloads)
-            }
-            for future in as_completed(futures):
-                store.write(futures[future], future.result())
-    else:
-        for chunk, payload in zip(todo, payloads):
-            store.write(chunk, run_chunk(payload, cache=local_cache))
-    return {
-        "ran": [chunk.chunk_id for chunk in todo],
-        "skipped": skipped,
-        "store": str(store.directory),
+    for chunk in manifest.chunks:
+        if not store.is_complete(chunk):
+            parts = store.split_parts(chunk)
+            if parts is not None:
+                assemble_split(store, chunk, parts)
+    complete = [chunk for chunk in manifest.chunks if store.is_complete(chunk)]
+    if partial or len(complete) == len(manifest.chunks):
+        return store, complete
+    done = {chunk.chunk_id for chunk in complete}
+    missing = [c.chunk_id for c in manifest.chunks if c.chunk_id not in done]
+    message = (
+        f"{len(missing)} of {len(manifest.chunks)} {manifest.CHUNK_NOUN} "
+        f"incomplete (e.g. {missing[:3]}); run the remaining shards (or "
+        "--resume) first"
+    )
+    # Chunk files that belong to no chunk of *this* manifest usually mean
+    # the manifest identity changed under the store — a code-version bump
+    # or different parameters rename every chunk id.  Saying "re-run the
+    # shards" alone would silently discard (or pile a second copy next to)
+    # a completed run.
+    known = {c.chunk_id for c in manifest.chunks}
+    orphans = {
+        chunk_id
+        for chunk_id in store.completed_ids() - known
+        # Sub-chunk files (``<parent>.s<i>``) of a known chunk are split
+        # work in flight, not foreign-manifest leftovers.
+        if chunk_id.partition(".")[0] not in known
     }
+    if orphans:
+        message += (
+            f"; NOTE: the store also holds {len(orphans)} chunk file(s) from "
+            f"a different manifest — {manifest.RENAMED_BY} likely changed "
+            "since they were written (current code version: "
+            f"{manifest.code_version})"
+        )
+    raise FileNotFoundError(message)
 
 
 def merge_sweep(
@@ -941,64 +991,18 @@ def merge_sweep(
     """Fold a store's chunk files into a :class:`DegreeDiameterResult`.
 
     Raises ``FileNotFoundError`` naming the missing chunk ids when any chunk
-    of the manifest has not been published yet — a partial merge would
-    silently drop table rows, which is exactly the failure mode the named
-    manifest exists to prevent.  ``partial=True`` opts into exactly that
-    drop *explicitly*, for progress reports over a store other shards are
+    of the manifest has not been published yet, and
+    :class:`StoreIdentityError` before anything else when the store's
+    ``manifest.json`` was written for different parameters (see
+    :func:`prepare_merge`).  ``partial=True`` opts into dropping the missing
+    chunks *explicitly*, for progress reports over a store other shards are
     still filling: the completed chunks are folded and the result carries
     only the rows they cover (the CLI's ``--merge --partial`` prints the
     coverage next to the table so a partial report can never masquerade as
-    a finished sweep).  Raises :class:`StoreIdentityError` before anything
-    else when the store's ``manifest.json`` was written for different
-    parameters.
+    a finished sweep).
     """
-    if not isinstance(store, ChunkStore):
-        store = ChunkStore(store)
-    ensure_store_identity(store, manifest.identity())
-    for chunk in manifest.chunks:
-        # A straggler split whose assembler died after the last sub-chunk
-        # published is still mergeable — fold it back here rather than
-        # reporting the parent missing.
-        if not store.is_complete(chunk):
-            parts = store.split_parts(chunk)
-            if parts is not None:
-                assemble_split(store, chunk, parts)
-    missing = [
-        chunk.chunk_id for chunk in manifest.chunks if not store.is_complete(chunk)
-    ]
-    if missing and partial:
-        records: list[dict] = []
-        for chunk in manifest.chunks:
-            if store.is_complete(chunk):
-                records.extend(store.read(chunk))
-        return fold_records(manifest, records)
-    if missing:
-        message = (
-            f"{len(missing)} of {len(manifest.chunks)} chunks incomplete "
-            f"(e.g. {missing[:3]}); run the remaining shards (or --resume) first"
-        )
-        # Chunk files that belong to no chunk of *this* manifest usually mean
-        # the manifest identity changed under the store — a code-version bump
-        # (any edit to a verdict-defining source) or different parameters
-        # (chunk_size, require_exact, range) rename every chunk id.  Saying
-        # "re-run the shards" alone would silently discard a completed sweep.
-        known = {c.chunk_id for c in manifest.chunks}
-        orphans = {
-            chunk_id
-            for chunk_id in store.completed_ids() - known
-            # Sub-chunk files (``<parent>.s<i>``) of a known chunk are split
-            # work in flight, not foreign-manifest leftovers.
-            if chunk_id.partition(".")[0] not in known
-        }
-        if orphans:
-            message += (
-                f"; NOTE: the store also holds {len(orphans)} chunk file(s) from "
-                "a different manifest — the code version or sweep parameters "
-                f"(chunk_size, require_exact, n range) likely changed since "
-                f"they were written (current code version: {manifest.code_version})"
-            )
-        raise FileNotFoundError(message)
+    store, complete = prepare_merge(manifest, store, partial=partial)
     records: list[dict] = []
-    for chunk in manifest.chunks:
+    for chunk in complete:
         records.extend(store.read(chunk))
     return fold_records(manifest, records)

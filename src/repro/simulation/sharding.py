@@ -23,16 +23,20 @@ Bobpp-style scheme of PAPERS.md):
   results are independent of how replicas are stacked — the engine contract —
   and the JSON codec round-trips every float exactly).
 
-:func:`run_many_sharded` is the single-host convenience wrapper (build, run
-— optionally over a :class:`~concurrent.futures.ProcessPoolExecutor` —
-merge); the multi-host front-end is ``python -m repro sim --out-dir ...
---shard i/k --resume`` / ``--merge``.
+:func:`run_replica_shard` executes (a shard of) a manifest into a store — it
+is :func:`repro.fleet.driver.run_shard` on a
+:class:`~repro.fleet.driver.SimFleetJob`, the one static chunk executor the
+degree–diameter sweep shares (optionally over its process pool; each task
+ships only its own chunk's traffic arrays).  :func:`run_many_sharded` is the
+single-host convenience wrapper (build, run, merge); the multi-host
+front-end is ``python -m repro sim --out-dir ... --shard i/k --resume`` /
+``--merge``, and ``python -m repro fleet sim`` runs the same job under
+leases.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,10 +45,11 @@ import numpy as np
 from repro.graphs.digraph import BaseDigraph
 from repro.otis.sweep import (
     ChunkStore,
+    ManifestBase,
     SweepChunk,
-    ensure_store_identity,
     fingerprint_paths,
     make_chunks,
+    prepare_merge,
 )
 from repro.simulation.network import (
     BatchedNetworkSimulator,
@@ -179,7 +184,7 @@ def stats_from_json(record: dict) -> NetworkStats:
 # Manifest
 # --------------------------------------------------------------------------
 @dataclass(frozen=True)
-class ReplicaChunkManifest:
+class ReplicaChunkManifest(ManifestBase):
     """Deterministic partition of a ``run_many`` replica list into chunks.
 
     ``chunks[i].items`` holds ``(replica_index, traffic_digest)`` pairs; the
@@ -187,6 +192,12 @@ class ReplicaChunkManifest:
     sharing a store directory can only ever agree on a chunk when they
     simulate the same messages on the same topology with the same code.
     """
+
+    CHUNK_NOUN = "replica chunks"
+    RENAMED_BY = (
+        "the chunk size, router, link timings, traffic parameters or "
+        "simulator code version"
+    )
 
     graph_fp: str
     link: LinkModel
@@ -250,26 +261,7 @@ class ReplicaChunkManifest:
             scenario=scenario,
         )
 
-    def shard(self, index: int, count: int) -> tuple[SweepChunk, ...]:
-        """Round-robin shard ``index`` of ``count`` (same rule as the sweep)."""
-        if count < 1:
-            raise ValueError("shard count must be positive")
-        if not 0 <= index < count:
-            raise ValueError(f"shard index must be in [0, {count}), got {index}")
-        return self.chunks[index::count]
-
-    def identity(self) -> dict:
-        """The JSON identity persisted as ``manifest.json`` in a store.
-
-        Same contract as :meth:`repro.otis.sweep.ChunkManifest.identity`:
-        every parameter that renames the chunk ids (the traffic digests are
-        covered through the digest over the ids), so a relaunch of an
-        out-dir with a different topology, link timing, router, replica set
-        or simulator code fails fast instead of silently matching nothing.
-        """
-        ids = hashlib.sha256(
-            "".join(chunk.chunk_id for chunk in self.chunks).encode()
-        ).hexdigest()[:16]
+    def identity_fields(self) -> dict:
         identity = {
             "kind": "run_many-replicas",
             "graph_fingerprint": self.graph_fp,
@@ -279,8 +271,6 @@ class ReplicaChunkManifest:
             "num_replicas": self.num_replicas,
             "chunk_size": self.chunk_size,
             "code_version": self.code_version,
-            "num_chunks": len(self.chunks),
-            "chunk_ids_digest": ids,
         }
         if self.scenario is not None:
             identity["scenario_digest"] = self.scenario.digest()
@@ -318,11 +308,12 @@ def run_replica_chunk(payload) -> list[dict]:
     """Simulate one chunk's replicas; returns one record per replica.
 
     ``payload`` is ``(graph, link, router_kind, scenario, [(index, traffic),
-    ...])`` — plain picklable values so a :class:`ProcessPoolExecutor` worker
-    can run it; the serial path calls it with the same payload.  Each chunk
-    is its own ``run_many`` stack, and per-replica results are independent of
-    the stacking (the batched-engine contract, scenario runs included), so
-    chunk boundaries never show in the merged output.
+    ...])`` — the plain picklable values
+    :meth:`repro.fleet.driver.SimFleetJob.payload` builds, so a process-pool
+    worker can run it; the serial path calls it with the same payload.  Each
+    chunk is its own ``run_many`` stack, and per-replica results are
+    independent of the stacking (the batched-engine contract, scenario runs
+    included), so chunk boundaries never show in the merged output.
     """
     graph, link, router_kind, scenario, entries = payload
     if scenario is not None:
@@ -340,11 +331,6 @@ def run_replica_chunk(payload) -> list[dict]:
     ]
 
 
-#: Backwards-compatible alias from before ``run_replica_chunk`` was public
-#: (the fleet driver imports the public name).
-_run_replica_chunk = run_replica_chunk
-
-
 def run_replica_shard(
     manifest: ReplicaChunkManifest,
     store: ChunkStore | str | Path,
@@ -357,54 +343,21 @@ def run_replica_shard(
 ) -> dict:
     """Execute (one shard of) a replica manifest into a chunk store.
 
-    Mirrors :func:`repro.otis.sweep.run_sweep`: different shards write
-    disjoint chunk files, ``resume=True`` skips already-published chunks,
-    and ``workers > 1`` fans the shard's chunks over a process pool,
+    :func:`repro.fleet.driver.run_shard` on a
+    :class:`~repro.fleet.driver.SimFleetJob`, as
+    :func:`repro.otis.sweep.run_sweep` is on a sweep job: different shards
+    write disjoint chunk files, ``resume=True`` skips already-published
+    chunks, and ``workers > 1`` fans the shard's chunks over a process pool,
     publishing each chunk the moment it completes so a crash loses at most
     the chunks in flight.  The supplied ``traffics`` are verified against
     the manifest's digests before anything runs — a mismatch means the
     caller is trying to resume a store with different messages, which would
     poison the merge.
     """
-    if not isinstance(store, ChunkStore):
-        store = ChunkStore(store)
-    ensure_store_identity(store, manifest.identity())
-    arrays = verify_traffics(manifest, traffics)
-    shard_index, shard_count = shard
-    chunks = manifest.shard(shard_index, shard_count)
-    todo = []
-    skipped = []
-    for chunk in chunks:
-        if resume and store.is_complete(chunk):
-            skipped.append(chunk.chunk_id)
-        else:
-            todo.append(chunk)
-    payloads = [
-        (
-            graph,
-            manifest.link,
-            manifest.router,
-            manifest.scenario,
-            [(index, arrays[index]) for index, _ in chunk.items],
-        )
-        for chunk in todo
-    ]
-    if workers is not None and workers > 1 and len(todo) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(run_replica_chunk, payload): chunk
-                for chunk, payload in zip(todo, payloads)
-            }
-            for future in as_completed(futures):
-                store.write(futures[future], future.result())
-    else:
-        for chunk, payload in zip(todo, payloads):
-            store.write(chunk, run_replica_chunk(payload))
-    return {
-        "ran": [chunk.chunk_id for chunk in todo],
-        "skipped": skipped,
-        "store": str(store.directory),
-    }
+    from repro.fleet.driver import SimFleetJob, run_shard
+
+    job = SimFleetJob(manifest, store, graph, traffics)
+    return run_shard(job, shard=shard, resume=resume, workers=workers)
 
 
 def merge_replica_stats(
@@ -414,41 +367,18 @@ def merge_replica_stats(
 
     The result is byte-identical to
     ``[stats for stats, _ in simulator.run_many(traffics,
-    return_messages=False)]``; raises ``FileNotFoundError`` naming the
-    missing chunk ids when any chunk has not been published (run the
+    return_messages=False)]``.  The preamble is the sweep's
+    (:func:`repro.otis.sweep.prepare_merge`): a straggler split whose
+    sub-chunks are all published is assembled, ``FileNotFoundError`` names
+    the missing chunk ids when any chunk has not been published (run the
     remaining shards, or relaunch with ``resume=True``, first), and
-    :class:`~repro.otis.sweep.StoreIdentityError` before anything else when
-    the store's ``manifest.json`` was written for different parameters.
+    :class:`~repro.otis.sweep.StoreIdentityError` is raised before anything
+    else when the store's ``manifest.json`` was written for different
+    parameters.
     """
-    if not isinstance(store, ChunkStore):
-        store = ChunkStore(store)
-    ensure_store_identity(store, manifest.identity())
-    missing = [
-        chunk.chunk_id for chunk in manifest.chunks if not store.is_complete(chunk)
-    ]
-    if missing:
-        message = (
-            f"{len(missing)} of {len(manifest.chunks)} replica chunks "
-            f"incomplete (e.g. {missing[:3]}); run the remaining shards "
-            "(or resume) first"
-        )
-        # Chunk files that belong to no chunk of *this* manifest usually mean
-        # the manifest identity changed under the store: different
-        # --chunk-size/router/link/traffic parameters, or a simulator code
-        # edit, rename every chunk id.  "Run the remaining shards" alone
-        # would just pile a second full set of chunks into the store.
-        orphans = store.completed_ids() - {c.chunk_id for c in manifest.chunks}
-        if orphans:
-            message += (
-                f"; NOTE: the store also holds {len(orphans)} chunk file(s) "
-                "from a different manifest — the chunk size, router, link "
-                "timings, traffic parameters or simulator code version "
-                "likely changed since they were written (current code "
-                f"version: {manifest.code_version})"
-            )
-        raise FileNotFoundError(message)
+    store, complete = prepare_merge(manifest, store)
     stats: list[NetworkStats | None] = [None] * manifest.num_replicas
-    for chunk in manifest.chunks:
+    for chunk in complete:
         for record in store.read(chunk):
             stats[int(record["replica"])] = stats_from_json(record["stats"])
     if any(entry is None for entry in stats):  # pragma: no cover - defensive

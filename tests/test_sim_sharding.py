@@ -13,8 +13,9 @@ import os
 import numpy as np
 import pytest
 
+from repro.fleet import SimFleetJob
 from repro.otis.h_digraph import h_digraph
-from repro.otis.sweep import StoreIdentityError
+from repro.otis.sweep import ChunkStore, StoreIdentityError, SweepChunk, split_chunk
 from repro.simulation.network import BatchedNetworkSimulator, LinkModel
 from repro.simulation.sharding import (
     ReplicaChunkManifest,
@@ -229,6 +230,48 @@ class TestMergeDiagnostics:
         )
         with pytest.raises(FileNotFoundError, match="different manifest"):
             merge_replica_stats(mismatched, tmp_path)
+
+    def split_parent(self, tmp_path, published_subs):
+        """A full store whose first chunk was split and never assembled.
+
+        Only the sub-chunks in ``published_subs`` are published, each as a
+        fleet worker would (``SimFleetJob.run_chunk`` on the sub-chunk).
+        """
+        traffics = example_traffics(4, messages=40)
+        manifest = ReplicaChunkManifest.build(
+            GRAPH, traffics, link=LINK, chunk_size=2
+        )
+        store = ChunkStore(tmp_path)
+        run_replica_shard(manifest, store, GRAPH, traffics)
+        target = manifest.chunks[0]
+        store.path_for(target).unlink()
+        store.request_split(target, 2)
+        job = SimFleetJob(manifest, store, GRAPH, traffics)
+        subs = split_chunk(target, 2)
+        for index in published_subs:
+            store.write(subs[index], job.run_chunk(subs[index]))
+        return manifest, store, traffics
+
+    def test_merge_folds_a_published_split(self, tmp_path):
+        # An assembler that died right after the last sub-chunk published:
+        # the merge folds the split itself instead of reporting the parent
+        # missing (and the sub-chunk files as foreign).
+        manifest, store, traffics = self.split_parent(tmp_path, (0, 1))
+        assert merge_replica_stats(manifest, store) == in_process_stats(traffics)
+        assert store.is_complete(manifest.chunks[0])
+
+    def test_orphan_note_ignores_sub_chunk_files(self, tmp_path):
+        # Half a split is work in flight: the merge refuses, but never
+        # blames the sub-chunk file on a different manifest.
+        manifest, store, _ = self.split_parent(tmp_path, (0,))
+        with pytest.raises(FileNotFoundError, match="incomplete") as refused:
+            merge_replica_stats(manifest, store)
+        assert "different manifest" not in str(refused.value)
+        # A genuinely foreign chunk file is counted, the sub-chunk still not.
+        store.write(SweepChunk(chunk_id="f" * 16, index=0, items=()), [])
+        with pytest.raises(FileNotFoundError, match="holds 1 chunk file") as noted:
+            merge_replica_stats(manifest, store)
+        assert "different manifest" in str(noted.value)
 
 
 class TestScenarioSharding:

@@ -166,8 +166,10 @@ def warmup(backend: str | None = None) -> str:
 
     One tiny end-to-end call per engine seam: a 2-vertex ``h_diameter``
     (BFS screen plus eccentricity sweep), a 1-source subset sweep, a
-    2-message simulation and a 2-message degrading scenario (one link down,
-    a capacity-1 retry buffer, arc-disjoint reroute).  After this returns,
+    32-message saturated simulation (the per-round driver) and a 2-message
+    degrading scenario (one link down, a capacity-1 retry buffer,
+    arc-disjoint reroute; the ``scenario_run`` kernel that sparse healthy
+    traffic shares).  After this returns,
     no JIT or C compile cost can land inside a benchmark key, a first solve,
     a first scenario sweep or a first request.  A no-op (beyond resolution)
     for ``numpy``.
@@ -187,7 +189,8 @@ def warmup(backend: str | None = None) -> str:
     batched_eccentricities(graph, 1, sources=[0], backend=resolved)
     subset_distance_rows(graph, [0], backend=resolved)
     sim = BatchedNetworkSimulator(graph, kernels=resolved)
-    sim.run_many([[(0, 1, 0.0), (1, 0, 0.0)]], return_messages=False)
+    # dense enough (32 events at one instant) for the per-round driver
+    sim.run_many([[(0, 1, 0.0), (1, 0, 0.0)] * 16], return_messages=False)
     degrading = Scenario(
         link=BufferedLinkModel(capacity=1, on_full="retry"),
         faults=FaultPlan((FaultEvent(0.5, "link_down", 0),)),

@@ -43,6 +43,14 @@ __all__ = ["RouteQueryServer"]
 
 _JSON_HEADERS = "Content-Type: application/json\r\n"
 
+#: Request-body budget per pair: what ``json.dumps`` spends on one pair of
+#: int64 ids at any ``indent`` up to 8 (128 bytes at worst: two
+#: ``-9223372036854775808`` at ``indent=8``).  A body padded with more
+#: whitespace than that can exceed the cap.
+_BODY_BYTES_PER_PAIR = 128
+#: Room for the rest of a query (op, topology, id, indentation).
+_BODY_BYTES_SLACK = 64 * 1024
+
 
 class RouteQueryServer:
     """One server process: registry + metrics + micro-batched query loop."""
@@ -74,6 +82,11 @@ class RouteQueryServer:
         self.batch_window_s = float(batch_window_s)
         self.batch_pairs = int(batch_pairs)
         self.max_pairs = int(max_pairs)
+        #: Largest ``Content-Length`` read: a query of ``max_pairs`` pairs
+        #: fits when written as ``json.dumps`` does at ``indent`` <= 8; a
+        #: larger declared body is answered ``413`` without reading a byte
+        #: of it.
+        self.max_body_bytes = _BODY_BYTES_SLACK + _BODY_BYTES_PER_PAIR * self.max_pairs
         self.reload_interval_s = float(reload_interval_s)
         #: Admission cap on concurrently processed ``/v1/query`` requests.
         #: Beyond it the server sheds with ``429 + Retry-After`` instead of
@@ -172,11 +185,10 @@ class RouteQueryServer:
                 if request is None:
                     break
                 method, path, headers, body = request
-                if body is None:
-                    # unparseable Content-Length: the body's extent is
-                    # unknown, so answer and drop the connection
-                    error = f"invalid Content-Length {headers['content-length']!r}"
-                    result = ("400 Bad Request", {"ok": False, "error": error})
+                if isinstance(body, tuple):
+                    # a body left unread: answer and drop the connection
+                    status, error = body
+                    result = (status, {"ok": False, "error": error})
                     keep_alive = False
                 else:
                     keep_alive = headers.get("connection", "").lower() != "close"
@@ -221,12 +233,13 @@ class RouteQueryServer:
             if task is not None:  # pragma: no branch
                 self._connections.discard(task)
 
-    @staticmethod
-    async def _read_request(reader):
+    async def _read_request(self, reader):
         """Parse one HTTP/1.1 request; None on a cleanly closed connection.
 
-        A ``Content-Length`` that is not a plain decimal count comes back
-        with body ``None`` and nothing read past the headers.
+        A ``Content-Length`` that is not a plain decimal count (400), or
+        that exceeds :attr:`max_body_bytes` (413), comes back as a
+        ``(status, error)`` pair in place of the body, with nothing read
+        past the headers.
         """
         line = await reader.readline()
         if not line:
@@ -244,8 +257,19 @@ class RouteQueryServer:
             headers[key.strip().lower()] = value.strip()
         length = headers.get("content-length", "0") or "0"
         if not (length.isascii() and length.isdigit()):
-            return method, path, headers, None
-        size = int(length)
+            return method, path, headers, (
+                "400 Bad Request",
+                f"invalid Content-Length {length!r}",
+            )
+        digits = length.lstrip("0") or "0"
+        limit = self.max_body_bytes
+        if len(digits) > len(str(limit)) or int(digits) > limit:
+            return method, path, headers, (
+                "413 Payload Too Large",
+                f"Content-Length exceeds the {limit}-byte limit "
+                f"(max_pairs={self.max_pairs})",
+            )
+        size = int(digits)
         body = await reader.readexactly(size) if size else b""
         return method, path, headers, body
 

@@ -79,7 +79,10 @@ runs.  ``kernel_backend`` reports which.  Drops are recorded as codes
 (:data:`DROP_REASONS`) and turned into ``NetworkStats`` counters and
 ``Message.drop_reason`` afterwards.  An arrival-only scenario (default
 link, no faults) runs through the unchanged healthy path: healthy
-workloads pay nothing for the scenario seam.
+workloads pay nothing for the scenario seam.  Conversely, sparse healthy
+traffic borrows the scenario kernel on a compiled backend: one
+``scenario_run`` call with nothing degraded beats the per-round driver's
+boundary crossing per tiny round (see :class:`BatchedNetworkSimulator`).
 
 Message endpoints must be integers (``3.0`` is accepted, ``1.5`` is not
 truncated): both engines and
@@ -89,7 +92,6 @@ same ``ValueError`` (:func:`validate_endpoints`).
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -867,13 +869,20 @@ class BatchedNetworkSimulator:
     a kernel-backend request (see :mod:`repro.kernels`) — ``None`` resolves
     the ``REPRO_KERNELS`` environment override, ``"numpy"`` pins the
     original vectorised path.  All backends are bit-identical; the resolved
-    name is exposed as :attr:`kernel_backend`.  Under ``auto`` resolution
-    sparse healthy workloads (fewer than 32 events per distinct creation
-    time on average) keep the numpy path — its scalar fast path beats the
-    kernel's per-round boundary crossing there; naming a backend explicitly
-    always runs it.  Degrading scenarios take the ``scenario_run`` kernel
-    on any compiled backend (one call per run, so no such threshold) when
-    ``n <= AUTO_DENSE_MAX_N``, and report ``"numpy"`` past it.
+    name is exposed as :attr:`kernel_backend`.  On a compiled backend a
+    healthy workload's density picks between two compiled paths: dense
+    traffic (at least 32 events per distinct creation time on average)
+    runs the per-round driver, sparse traffic — where that driver would pay
+    a Python<->kernel round trip for every handful of events — runs as one
+    ``scenario_run`` kernel call with nothing degraded (no faults, unbounded
+    buffers, no hop limit, no reroute).  Degrading scenarios always take
+    ``scenario_run``.  Both ``scenario_run`` uses precompute every vertex's
+    next hop towards every destination, so they need
+    ``n <= AUTO_DENSE_MAX_N``; past it a degrading scenario runs the
+    interpreted loop and sparse healthy traffic the numpy scalar fast path.
+    :attr:`kernel_backend` names the backend of the path the latest run
+    took (before any run, the one the simulator resolved) — ``"numpy"``
+    whenever a numpy path ran.
     """
 
     def __init__(
@@ -907,17 +916,9 @@ class BatchedNetworkSimulator:
             # destination up front (n x k entries): dense regime only.  Past
             # it the interpreted loop runs — report what actually runs.
             resolved = "numpy"
+        self._backend = resolved
         self.kernel_backend = resolved
-        self._kernels = _kernels.get_kernels(self.kernel_backend)
-        requested = (
-            kernels
-            if kernels is not None
-            else os.environ.get(_kernels.ENV_VAR) or "auto"
-        )
-        # An explicitly named backend (parameter or REPRO_KERNELS) is always
-        # honoured; under "auto", run_many keeps the numpy path for sparse
-        # workloads where the per-round kernel round-trip cannot win.
-        self._kernels_forced = requested.strip().lower() != "auto"
+        self._kernels = _kernels.get_kernels(resolved)
 
     # ------------------------------------------------------------------ run
     def run(
@@ -963,27 +964,44 @@ class BatchedNetworkSimulator:
 
         With a degrading ``scenario`` the pooled pass switches to the
         scenario event loop (same pooling, per-event semantics — see the
-        module docstring's degraded-mode contract).
+        module docstring's degraded-mode contract).  On a compiled backend,
+        sparse healthy traffic takes that event loop's kernel too, with
+        nothing degraded (see the class docstring).
         """
-        if self.scenario is not None and self.scenario.needs_event_exact():
-            return self._run_many_scenario(
-                traffics,
-                until=until,
-                max_events=max_events,
-                trace=trace,
-                return_messages=return_messages,
-            )
-        groups = self._groups
         n = self.graph.num_vertices
+        run = dict(
+            until=until,
+            max_events=max_events,
+            trace=trace,
+            return_messages=return_messages,
+        )
+        if self.scenario is not None and self.scenario.needs_event_exact():
+            state = _ScenarioState(self.graph, self.scenario, self.router)
+            return self._run_many_events(state, _pool_traffics(traffics, n), **run)
+
+        # ---- pool the per-message state of every replica into flat arrays
+        pooled = _pool_traffics(traffics, n)
+        src, dst, created, counts, offsets = pooled
+        N = int(offsets[-1])
+        # Sparse traffic (rate-limited injection: fewer than 32 events per
+        # distinct timestamp on average) would make the round driver pay a
+        # Python<->kernel round trip per tiny round; it runs as one
+        # scenario_run call instead, or — past the dense regime that call
+        # needs — on the numpy scalar fast path.
+        compiled = self._kernels is not None
+        sparse = compiled and N < 32 * np.unique(created).size
+        if sparse and n <= AUTO_DENSE_MAX_N:
+            self.kernel_backend = self._backend
+            return self._run_many_events(None, pooled, **run)
+        use_kernel = compiled and not sparse
+        self.kernel_backend = self._backend if use_kernel else "numpy"
+
+        groups = self._groups
         m = groups.num_links
         num_groups = groups.num_groups
         T = self.link.transmission_time
         L = self.link.latency
         R = len(traffics)
-
-        # ---- pool the per-message state of every replica into flat arrays
-        src, dst, created, counts, offsets = _pool_traffics(traffics, n)
-        N = int(offsets[-1])
 
         rep = np.repeat(np.arange(R, dtype=np.int64), counts)
 
@@ -1000,14 +1018,6 @@ class BatchedNetworkSimulator:
         router = self.router
         processed = 0
 
-        use_kernel = self._kernels is not None
-        if use_kernel and not self._kernels_forced:
-            # Sparse workloads (rate-limited injection: few events per
-            # distinct timestamp) run thousands of tiny rounds, each paying
-            # a Python<->kernel round-trip; the numpy path's <=32-event
-            # scalar fast path wins there.  Mirror that threshold: take the
-            # kernel only when the average batch is at least 32 events.
-            use_kernel = N >= 32 * np.unique(created).size
         if use_kernel:
             queue = ()  # compiled path: the event heap lives in the kernel
             self._run_rounds_kernel(
@@ -1367,35 +1377,37 @@ class BatchedNetworkSimulator:
                 )
 
     # ------------------------------------------------------------- scenario
-    def _run_many_scenario(
+    def _run_many_events(
         self,
-        traffics,
+        state,
+        pooled,
         *,
-        until: float | None = None,
-        max_events: int | None = None,
-        trace: list | None = None,
-        return_messages: bool = True,
+        until: float | None,
+        max_events: int | None,
+        trace: list | None,
+        return_messages: bool,
     ) -> list[tuple[NetworkStats, list[Message] | None]]:
-        """Pooled scenario runs: replicated link arrays, per-event semantics.
+        """Pooled runs with per-event semantics: replicated link arrays.
 
-        Same pooling as :meth:`run_many`.  Finite buffers, fault flips and reroute decisions are
-        order-dependent within a batch, so every event is resolved with the
-        literal reference algorithm (identical float ops): in one
-        ``scenario_run`` kernel call on a compiled backend
-        (:meth:`_scenario_kernel`), else in the interpreted loop
-        (:meth:`_scenario_loop`, the ``REPRO_KERNELS=numpy`` reference).
-        Fault events occupy the queue slots past the message range
-        (``N .. N+F-1``) and are scheduled *first*, so at equal timestamps
-        they outrank every message event, exactly like the reference heap's
-        sequence numbers.  Fault state is global: one timeline drives all
-        replicas, which is what makes a stacked scenario run equal R solo
-        runs of the same scenario.
+        ``pooled`` is :func:`_pool_traffics`' result.  Finite buffers, fault
+        flips and reroute decisions are order-dependent within a batch, so
+        every event is resolved with the literal reference algorithm
+        (identical float ops): in one ``scenario_run`` kernel call on a
+        compiled backend (:meth:`_scenario_kernel`), else in the
+        interpreted loop (:meth:`_scenario_loop`, the
+        ``REPRO_KERNELS=numpy`` reference).  ``state`` is the run's
+        :class:`_ScenarioState`, or ``None`` for sparse healthy traffic,
+        which only a compiled backend sends here.  Fault events occupy the
+        queue slots past the message range (``N .. N+F-1``) and are
+        scheduled *first*, so at equal timestamps they outrank every
+        message event, exactly like the reference heap's sequence numbers.
+        Fault state is global: one timeline drives all replicas, which is
+        what makes a stacked scenario run equal R solo runs of the same
+        scenario.
         """
-        n = self.graph.num_vertices
         m = self._groups.num_links
-        R = len(traffics)
-        state = _ScenarioState(self.graph, self.scenario, self.router)
-        src, dst, created, counts, offsets = _pool_traffics(traffics, n)
+        src, dst, created, counts, offsets = pooled
+        R = counts.size
         N = int(offsets[-1])
         msg = (
             src.copy(),  # loc
@@ -1432,9 +1444,12 @@ class BatchedNetworkSimulator:
         of the pooled traffic comes from one ``router.next_hops`` call, so
         the kernel works with any router and holds ``n x k`` hops (``k``
         distinct destinations); arc-disjoint deflection reads the same
-        columns of the healthy distance table.  With ``trace`` the kernel
-        logs transmissions into a fixed buffer and returns whenever it
-        fills; each drained buffer becomes one trace triple.
+        columns of the healthy distance table.  With ``state=None`` (sparse
+        healthy traffic) nothing is degraded: no fault events, no reroute,
+        no hop limit, and the link model's unbounded buffers.  With
+        ``trace`` the kernel logs transmissions into a fixed buffer and
+        returns whenever it fills; each drained buffer becomes one trace
+        triple.
         """
         # the kernel applies a fault by its kind's index in this tuple
         from repro.simulation.scenarios import FAULT_KINDS
@@ -1446,7 +1461,7 @@ class BatchedNetworkSimulator:
         link = self.link
         loc, dst = msg[0], msg[1]
         N = int(loc.shape[0])
-        events = state.fault_events
+        events = state.fault_events if state is not None else ()
         F = len(events)
 
         queue = _kernel_queue(N + F)
@@ -1462,19 +1477,19 @@ class BatchedNetworkSimulator:
 
         dests, dcol = np.unique(dst, return_inverse=True)
         k = int(dests.shape[0])
-        primary = np.zeros((n, k), dtype=np.int64)
+        primary = np.zeros((n, 0), dtype=np.int64)
         if k:
             nxt = self.router.next_hops(
                 np.repeat(np.arange(n, dtype=np.int64), k), np.tile(dests, n)
             )
-            primary[:] = np.asarray(nxt, dtype=np.int64).reshape(n, k)
-        reroute = state.distance is not None
+            primary = np.ascontiguousarray(nxt, dtype=np.int64).reshape(n, k)
+        reroute = state is not None and state.distance is not None
         distance = np.zeros((n, 0), dtype=np.int64)
         if reroute:
             distance = np.ascontiguousarray(state.distance[:, dests], dtype=np.int64)
 
         capacity = getattr(link, "capacity", None)
-        ttl = self.scenario.effective_max_hops(n)
+        ttl = self.scenario.effective_max_hops(n) if state is not None else None
         C = max(N + F, 1)
         log_cap = C if trace is not None else -1
         log = (

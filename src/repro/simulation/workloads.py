@@ -89,6 +89,15 @@ def uniform_random_pairs(
     it collides with the source).  When ``rate`` is given, injection times
     follow a Poisson process of that rate; otherwise all messages are injected
     at time 0.
+
+    Stream contract: the triples, and the generator's state afterwards, are
+    exactly those of the sequential rule — the arrival times first, then per
+    message one ``generator.integers(num_nodes)`` draw for the source and
+    draws for the destination until one differs from the source.  The draws
+    are made in blocks (``integers(num_nodes, size=k)`` yields the values of
+    ``k`` scalar calls), each no larger than the draws still certainly
+    needed, so the total is exactly ``2 * num_messages`` plus the number of
+    resamples.
     """
     if num_nodes < 2:
         raise ValueError("uniform random traffic needs at least 2 nodes")
@@ -98,14 +107,76 @@ def uniform_random_pairs(
         if rate is not None
         else np.zeros(num_messages)
     )
-    traffic: Traffic = []
-    for k in range(num_messages):
-        source = int(generator.integers(num_nodes))
-        destination = int(generator.integers(num_nodes))
-        while destination == source:
-            destination = int(generator.integers(num_nodes))
-        traffic.append((source, destination, float(times[k])))
-    return traffic
+    sources = np.empty(num_messages, dtype=np.int64)
+    destinations = np.empty(num_messages, dtype=np.int64)
+    done = 0
+    pending = np.zeros(0, dtype=np.int64)  # a source awaiting its destination
+    while done < num_messages:
+        need = 2 * (num_messages - done) - pending.size
+        block = np.concatenate((pending, generator.integers(num_nodes, size=need)))
+        src_pos, dst_pos, pending = _split_pairs(block)
+        count = src_pos.size
+        sources[done : done + count] = block[src_pos]
+        destinations[done : done + count] = block[dst_pos]
+        done += count
+    return list(zip(sources.tolist(), destinations.tolist(), times.tolist()))
+
+
+def _split_pairs(block: np.ndarray):
+    """Split a block of draws into messages by the sequential resample rule.
+
+    A message takes its source at position ``s`` and its destination just
+    past the run of values equal to ``block[s]``; the next message starts
+    one further on.  Only sources with ``block[s] == block[s + 1]`` break the
+    stride of two, so the walk visits those collisions alone, in one
+    forward scan of their sorted positions.  Returns the source
+    and destination positions of the complete messages, and the source left
+    without a destination at the block's end (an empty array if none).
+    """
+    size = block.size
+    same = block[:-1] == block[1:]
+    collisions = np.flatnonzero(same)
+    # last position of the run of equal values that starts each collision
+    run_ends = np.append(np.flatnonzero(~same), size - 1)
+    run_last = run_ends[np.searchsorted(run_ends, collisions)]
+    positions, lasts = collisions.tolist(), run_last.tolist()
+    # sources ``start, start + 2, ... < stop`` per segment of the walk
+    starts: list[int] = []
+    stops: list[int] = []
+    pos = 0
+    k = 0
+    left = -1  # position of a source left without a destination
+    while pos < size:
+        # the next collision at a source position; those skipped lie before
+        # the collision found, hence before every later ``pos`` too
+        while k < len(positions) and (
+            positions[k] < pos or (positions[k] - pos) & 1
+        ):
+            k += 1
+        if k == len(positions):
+            starts.append(pos)
+            stops.append(size - 1)
+            if (size - 1 - pos) % 2 == 0:
+                left = size - 1
+            break
+        collision, last = positions[k], lasts[k]
+        starts.append(pos)
+        if last == size - 1:  # the resamples ran past the block
+            stops.append(collision)
+            left = collision
+            break
+        stops.append(collision + 1)
+        pos = last + 2
+    start = np.array(starts, dtype=np.int64)
+    lengths = (np.array(stops, dtype=np.int64) - start + 1) // 2
+    offsets = np.cumsum(lengths) - lengths
+    src_pos = np.repeat(start, lengths) + 2 * (
+        np.arange(int(lengths.sum()), dtype=np.int64) - np.repeat(offsets, lengths)
+    )
+    dst_pos = src_pos + 1
+    resampled = same[src_pos]
+    dst_pos[resampled] = run_ends[np.searchsorted(run_ends, src_pos[resampled])] + 1
+    return src_pos, dst_pos, block[left:left + 1] if left >= 0 else block[:0]
 
 
 def permutation_pairs(

@@ -92,41 +92,39 @@ class TestResolution:
         # auto must not raise — it falls through to cnative or numpy.
         assert kernels.resolve_backend("auto") in ("cnative", "numpy")
 
-    def test_auto_keeps_numpy_path_for_sparse_workloads(self, monkeypatch):
-        # Rate-limited injection means thousands of tiny rounds; under
-        # "auto" the simulator keeps the numpy scalar fast path for those,
-        # while an explicitly named backend is always honoured.
+    def test_density_picks_between_two_compiled_paths(self, monkeypatch):
+        # Rate-limited injection means thousands of tiny rounds: sparse
+        # traffic runs as one scenario_run call, dense traffic through the
+        # per-round driver — under "auto" and a named backend alike.
         if kernels.resolve_backend("auto") == "numpy":
             pytest.skip("no compiled backend available")
-        # an outer REPRO_KERNELS (e.g. the CI numpy leg) would force both
-        # simulators; this test is about genuine "auto" resolution
+        # an outer REPRO_KERNELS (e.g. the CI numpy leg) would force the
+        # numpy path; this test is about the compiled backends' dispatch
         monkeypatch.setenv(kernels.ENV_VAR, "auto")
-        entered = []
+        sparse = [(i % 4, (i + 1) % 4, float(i)) for i in range(64)]
+        dense = [(i % 4, (i + 1) % 4, 0.0) for i in range(64)]
         for sim in (
             BatchedNetworkSimulator(GRAPH),  # auto
             BatchedNetworkSimulator(GRAPH, kernels=kernels.resolve_backend()),
         ):
             assert sim._kernels is not None
-            real = sim._kernels.make_round_driver
+            entered = []
+            for name in ("scenario_run", "make_round_driver"):
 
-            def spy(*args, _real=real, **kwargs):
-                entered.append(sim.kernel_backend)
-                return _real(*args, **kwargs)
+                def spy(*args, _real=getattr(sim._kernels, name), _name=name):
+                    entered.append(_name)
+                    return _real(*args)
 
-            monkeypatch.setattr(sim._kernels, "make_round_driver", spy)
-            sparse = [(i % 4, (i + 1) % 4, float(i)) for i in range(64)]
-            dense = [(i % 4, (i + 1) % 4, 0.0) for i in range(64)]
-            sparse_n = len(entered)
+                monkeypatch.setattr(sim._kernels, name, spy)
             sim.run(sparse)
-            sparse_used = len(entered) - sparse_n
-            dense_n = len(entered)
+            assert entered == ["scenario_run"]
+            assert sim.kernel_backend == kernels.resolve_backend()
+            del entered[:]
             sim.run(dense)
-            dense_used = len(entered) - dense_n
+            assert entered == ["make_round_driver"]
+            assert sim.kernel_backend == kernels.resolve_backend()
             monkeypatch.undo()
-            if sim._kernels_forced:
-                assert sparse_used == 1 and dense_used == 1
-            else:
-                assert sparse_used == 0 and dense_used == 1
+            monkeypatch.setenv(kernels.ENV_VAR, "auto")
 
     def test_numpy_forced_simulation_matches_auto(self, monkeypatch):
         # The fallback is not merely "doesn't crash": forced-numpy results

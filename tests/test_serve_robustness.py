@@ -3,7 +3,10 @@
 What the serve layer promises under abuse, pinned down end to end:
 
 * **request parsing** — a ``Content-Length`` that is not a decimal count
-  is answered ``400 Bad Request`` and the connection closed;
+  is answered ``400 Bad Request`` and the connection closed; one above the
+  byte cap derived from ``max_pairs`` is answered ``413`` and closed
+  without the server waiting for the body, while a query of exactly
+  ``max_pairs`` pairs is still answered;
 * **admission control** — at ``max_inflight`` concurrent queries the server
   sheds with ``429 + Retry-After`` instead of queueing without bound, and
   the control plane (``/healthz``, ``/stats``) stays green throughout;
@@ -85,6 +88,88 @@ class TestRequestParsing:
             assert "Content-Length" in answer["error"]
             # one bad client does not hurt the server
             assert http_request(server.host, server.port, "GET", "/healthz")["ok"]
+
+
+    @staticmethod
+    def send_headers_only(server, length):
+        """Declare a body of ``length`` bytes, send none; the raw reply."""
+        with socket.create_connection((server.host, server.port), timeout=10) as sock:
+            sock.sendall(
+                (
+                    "POST /v1/query HTTP/1.1\r\nHost: test\r\n"
+                    f"Content-Length: {length}\r\n\r\n"
+                ).encode()
+            )
+            reply = b""
+            # the server must answer and close on its own: a socket timeout
+            # here means it sat waiting for the declared body
+            while chunk := sock.recv(4096):
+                reply += chunk
+        return reply
+
+    @staticmethod
+    def post_body(server, body):
+        """POST raw bytes to ``/v1/query``; ``(status, parsed answer)``."""
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=60)
+        try:
+            connection.request("POST", "/v1/query", body=body)
+            response = connection.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            connection.close()
+
+    def test_query_of_exactly_max_pairs_is_answered(self):
+        # At the default max_pairs (65536), in the widest format the cap
+        # covers: json.dumps at indent=8.
+        with ServerThread(make_registry()) as server:
+            max_pairs = server.server.max_pairs
+            cap = server.server.max_body_bytes
+
+            def body(pairs):
+                query = {"op": "next-hop", "topology": "demo", "pairs": pairs, "id": "x"}
+                return json.dumps(query, indent=8).encode()
+
+            valid = body([[i % 8, (i * 5 + 1) % 8] for i in range(max_pairs)])
+            assert len(valid) <= cap
+            status, answer = self.post_body(server, valid)
+            assert status == 200 and answer["ok"]
+            assert answer["count"] == len(answer["hops"]) == max_pairs
+            # the widest ids: the body is read and decoded (400 out of
+            # range), not refused for its size
+            widest = body([[-(2**63), -(2**63)]] * max_pairs)
+            assert len(widest) <= cap
+            status, answer = self.post_body(server, widest)
+            assert status == 400 and "limit" not in answer["error"]
+
+    def test_content_length_past_the_cap_answers_413_and_closes(self):
+        with ServerThread(make_registry(), max_pairs=100) as server:
+            cap = server.server.max_body_bytes
+            for length in (cap + 1, 10**12, "9" * 5000, "0" * 40 + str(cap + 1)):
+                head, _, body = self.send_headers_only(server, length).partition(
+                    b"\r\n\r\n"
+                )
+                assert head.startswith(b"HTTP/1.1 413 Payload Too Large\r\n")
+                assert b"Connection: close" in head
+                answer = json.loads(body)
+                assert answer["ok"] is False and "limit" in answer["error"]
+            assert http_request(server.host, server.port, "GET", "/healthz")["ok"]
+
+    def test_oversized_body_is_never_awaited(self):
+        # headers declaring cap + 1 bytes, then the connection stays open
+        # and silent: the 413 must arrive without any body byte sent.
+        with ServerThread(make_registry(), max_pairs=10) as server:
+            cap = server.server.max_body_bytes
+            with socket.create_connection(
+                (server.host, server.port), timeout=10
+            ) as sock:
+                sock.sendall(
+                    (
+                        "POST /v1/query HTTP/1.1\r\nHost: test\r\n"
+                        f"Content-Length: {cap + 1}\r\n\r\n"
+                    ).encode()
+                )
+                first = sock.recv(4096)  # times out if the server waits
+            assert first.startswith(b"HTTP/1.1 413 ")
 
 
 # ---------------------------------------------------------------------------
